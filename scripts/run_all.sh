@@ -31,6 +31,13 @@ for b in build/bench/bench_*; do
       [ -n "$o" ] && metric="$metric, \"tracer_overhead_pct\": $o"
       p=$(sed -n 's/.*"window_latency_p99_ms": \([0-9.]*\).*/\1/p' BENCH_runtime.json | head -n 1)
       [ -n "$p" ] && metric="$metric, \"window_latency_p99_ms\": $p"
+      # Every field check_bench_regression.sh reads, so a regenerated
+      # baseline does not silently skip the publish-path checks.
+      for key in publish_kfps publish_admission_overhead_pct \
+                 publish_control_overhead_pct; do
+        v=$(sed -n "s/.*\"$key\": \([0-9.]*\).*/\1/p" BENCH_runtime.json | head -n 1)
+        [ -n "$v" ] && metric="$metric, \"$key\": $v"
+      done
       ;;
     bench_robustness_sweep)
       v=$(grep -o '"rescued_captures": [0-9]*' BENCH_robustness.json | \

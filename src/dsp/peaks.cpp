@@ -18,11 +18,6 @@ double at(std::span<const double> xs, std::int64_t i, bool circular) {
   return xs[static_cast<std::size_t>(i)];
 }
 
-std::size_t circular_distance(std::size_t a, std::size_t b, std::size_t n) {
-  const std::size_t d = a > b ? a - b : b - a;
-  return std::min(d, n - d);
-}
-
 }  // namespace
 
 std::vector<Peak> find_peaks(std::span<const double> xs,
@@ -43,18 +38,29 @@ std::vector<Peak> find_peaks(std::span<const double> xs,
   std::sort(candidates.begin(), candidates.end(),
             [](const Peak& a, const Peak& b) { return a.value > b.value; });
 
+  // Strongest first, a candidate is accepted unless an already accepted
+  // peak lies closer than min_distance. Each acceptance marks the cells it
+  // suppresses, so the test is one lookup. Accepted peaks sit at least
+  // min_distance apart, which bounds the marking to O(n) in total.
+  const std::size_t size = xs.size();
+  const std::size_t reach = opts.min_distance == 0 ? 0 : opts.min_distance - 1;
+  std::vector<char> suppressed(size, 0);
   std::vector<Peak> accepted;
   for (const Peak& c : candidates) {
-    const bool tooClose = std::any_of(
-        accepted.begin(), accepted.end(), [&](const Peak& a) {
-          const std::size_t d =
-              opts.circular
-                  ? circular_distance(a.index, c.index, xs.size())
-                  : (a.index > c.index ? a.index - c.index
-                                       : c.index - a.index);
-          return d < opts.min_distance;
-        });
-    if (!tooClose) accepted.push_back(c);
+    if (suppressed[c.index]) continue;
+    accepted.push_back(c);
+    if (opts.circular && reach >= size / 2) {
+      std::fill(suppressed.begin(), suppressed.end(), 1);
+    } else if (opts.circular) {
+      for (std::size_t k = size - reach; k <= size + reach; ++k) {
+        suppressed[(c.index + k) % size] = 1;
+      }
+    } else {
+      const std::size_t first = c.index - std::min(c.index, reach);
+      const std::size_t last = c.index + std::min(reach, size - 1 - c.index);
+      std::fill(suppressed.begin() + static_cast<std::ptrdiff_t>(first),
+                suppressed.begin() + static_cast<std::ptrdiff_t>(last) + 1, 1);
+    }
   }
   return accepted;
 }

@@ -36,13 +36,20 @@ double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 double percentile(std::span<const double> xs, double p) {
   LFBS_CHECK(!xs.empty());
   LFBS_CHECK(p >= 0.0 && p <= 100.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  // Selection instead of a full sort: the two order statistics the
+  // interpolation reads are the lo-th smallest (nth_element) and the
+  // smallest of everything above it, so the result is the same double a
+  // sorted copy gives, in O(n).
+  std::vector<double> work(xs.begin(), xs.end());
+  const double pos = p / 100.0 * static_cast<double>(work.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto lo_it = work.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(work.begin(), lo_it, work.end());
+  const double lower = *lo_it;
+  const double upper =
+      lo + 1 < work.size() ? *std::min_element(lo_it + 1, work.end()) : lower;
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return lower * (1.0 - frac) + upper * frac;
 }
 
 double min(std::span<const double> xs) {

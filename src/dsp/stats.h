@@ -18,10 +18,11 @@ double stddev(std::span<const double> xs);
 /// Complex mean. Returns 0 for an empty span.
 Complex mean(std::span<const Complex> xs);
 
-/// Median (copies and sorts). Requires a non-empty span.
+/// Median (copies and selects, O(n)). Requires a non-empty span.
 double median(std::span<const double> xs);
 
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty input.
+/// O(n) selection on a copy; bit-identical to interpolating a sorted copy.
 double percentile(std::span<const double> xs, double p);
 
 /// min and max of a non-empty span.

@@ -2,61 +2,46 @@
 
 namespace lfbs::protocol {
 
+namespace {
+
+std::vector<bool> append_crc(const std::vector<bool>& bits,
+                             const CrcSpec& spec) {
+  std::vector<bool> out = bits;
+  const std::uint32_t crc = crc_bits(bits.begin(), bits.end(), spec);
+  for (unsigned b = spec.width; b-- > 0;) out.push_back(((crc >> b) & 1) != 0);
+  return out;
+}
+
+}  // namespace
+
+bool crc_matches(const std::vector<bool>& bits, const CrcSpec& spec) {
+  return bits.size() >= spec.width &&
+         crc_bits(bits.begin(), bits.end(), spec) == 0;
+}
+
 std::uint8_t crc5_epc(const std::vector<bool>& bits) {
-  // Bitwise CRC-5/EPC: poly x^5 + x^3 + 1 (0b01001 taps), preset 0b01001.
-  std::uint8_t reg = 0b01001;
-  for (bool bit : bits) {
-    const bool msb = (reg & 0b10000) != 0;
-    reg = static_cast<std::uint8_t>((reg << 1) & 0b11111);
-    if (msb != bit) reg ^= 0b01001;
-  }
-  return reg;
+  return static_cast<std::uint8_t>(crc_bits(bits.begin(), bits.end(), kCrc5Epc));
 }
 
 std::vector<bool> append_crc5(const std::vector<bool>& bits) {
-  std::vector<bool> out = bits;
-  const std::uint8_t crc = crc5_epc(bits);
-  for (int b = 4; b >= 0; --b) out.push_back(((crc >> b) & 1) != 0);
-  return out;
+  return append_crc(bits, kCrc5Epc);
 }
 
 bool check_crc5(const std::vector<bool>& bits) {
-  if (bits.size() < 5) return false;
-  const std::vector<bool> payload(bits.begin(), bits.end() - 5);
-  const std::uint8_t expected = crc5_epc(payload);
-  std::uint8_t got = 0;
-  for (std::size_t i = bits.size() - 5; i < bits.size(); ++i) {
-    got = static_cast<std::uint8_t>((got << 1) | (bits[i] ? 1 : 0));
-  }
-  return got == expected;
+  return crc_matches(bits, kCrc5Epc);
 }
 
 std::uint16_t crc16_ccitt(const std::vector<bool>& bits) {
-  std::uint16_t reg = 0xFFFF;
-  for (bool bit : bits) {
-    const bool msb = (reg & 0x8000) != 0;
-    reg = static_cast<std::uint16_t>(reg << 1);
-    if (msb != bit) reg ^= 0x1021;
-  }
-  return reg;
+  return static_cast<std::uint16_t>(
+      crc_bits(bits.begin(), bits.end(), kCrc16Ccitt));
 }
 
 std::vector<bool> append_crc16(const std::vector<bool>& bits) {
-  std::vector<bool> out = bits;
-  const std::uint16_t crc = crc16_ccitt(bits);
-  for (int b = 15; b >= 0; --b) out.push_back(((crc >> b) & 1) != 0);
-  return out;
+  return append_crc(bits, kCrc16Ccitt);
 }
 
 bool check_crc16(const std::vector<bool>& bits) {
-  if (bits.size() < 16) return false;
-  const std::vector<bool> payload(bits.begin(), bits.end() - 16);
-  const std::uint16_t expected = crc16_ccitt(payload);
-  std::uint16_t got = 0;
-  for (std::size_t i = bits.size() - 16; i < bits.size(); ++i) {
-    got = static_cast<std::uint16_t>((got << 1) | (bits[i] ? 1 : 0));
-  }
-  return got == expected;
+  return crc_matches(bits, kCrc16Ccitt);
 }
 
 }  // namespace lfbs::protocol

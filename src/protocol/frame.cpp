@@ -7,6 +7,24 @@
 
 namespace lfbs::protocol {
 
+namespace {
+
+obs::Counter& frames_parsed() {
+  static obs::Counter& c = obs::metrics().counter("protocol.frames_parsed");
+  return c;
+}
+
+obs::Counter& frames_crc_failed() {
+  static obs::Counter& c = obs::metrics().counter("protocol.frames_crc_failed");
+  return c;
+}
+
+const CrcSpec& crc_spec(CrcKind kind) {
+  return kind == CrcKind::kCrc5 ? kCrc5Epc : kCrc16Ccitt;
+}
+
+}  // namespace
+
 std::vector<bool> build_frame(const std::vector<bool>& payload,
                               const FrameConfig& config) {
   LFBS_CHECK_MSG(payload.size() == config.payload_bits,
@@ -24,16 +42,12 @@ std::vector<bool> build_frame(const std::vector<bool>& payload,
 
 ParsedFrame parse_frame(const std::vector<bool>& bits,
                         const FrameConfig& config) {
-  static obs::Counter& parsed = obs::metrics().counter("protocol.frames_parsed");
-  static obs::Counter& crc_failed =
-      obs::metrics().counter("protocol.frames_crc_failed");
   ParsedFrame out;
   if (bits.size() != config.frame_bits()) return out;
-  parsed.add();
+  frames_parsed().add();
   out.anchor_ok = bits.front();
-  out.crc_ok = config.crc == CrcKind::kCrc5 ? check_crc5(bits)
-                                            : check_crc16(bits);
-  if (!out.crc_ok) crc_failed.add();
+  out.crc_ok = crc_matches(bits, crc_spec(config.crc));
+  if (!out.crc_ok) frames_crc_failed().add();
   out.payload.assign(bits.begin() + 1,
                      bits.begin() + 1 + static_cast<std::ptrdiff_t>(
                                             config.payload_bits));
@@ -60,24 +74,43 @@ std::vector<ParsedFrame> scan_frames(const std::vector<bool>& bits,
   span.attr("bits", static_cast<double>(bits.size()));
   std::vector<ParsedFrame> frames;
   const std::size_t len = config.frame_bits();
+  if (bits.size() < len) return frames;
+  // A window's register over its check bits too is zero exactly when the
+  // CRC matches (crc_matches), so the scan slides one register along the
+  // stream, O(1) per offset, and copies out only a CRC-valid hit.
+  const std::vector<std::uint8_t> unpacked(bits.begin(), bits.end());
+  const CrcSpec& spec = crc_spec(config.crc);
+  const SlidingCrc sliding(spec, len);
+  const std::uint8_t* data = unpacked.data();
+  std::uint64_t checked = 0;
+  std::uint64_t failed = 0;
   std::size_t begin = 0;
-  while (begin + len <= bits.size()) {
+  std::uint32_t reg = crc_bits(data, data + len, spec);
+  while (true) {
+    const std::uint8_t* frame = data + begin;
     // Cheap gate first: the anchor bit must be set.
-    if (!bits[begin]) {
-      ++begin;
-      continue;
+    if (frame[0]) {
+      ++checked;
+      if (reg == 0) {
+        ParsedFrame parsed;
+        parsed.anchor_ok = true;
+        parsed.crc_ok = true;
+        parsed.payload.assign(frame + 1, frame + 1 + config.payload_bits);
+        frames.push_back(std::move(parsed));
+        begin += len;
+        if (begin + len > unpacked.size()) break;
+        reg = crc_bits(data + begin, data + begin + len, spec);
+        continue;
+      }
+      ++failed;
     }
-    const std::vector<bool> chunk(
-        bits.begin() + static_cast<std::ptrdiff_t>(begin),
-        bits.begin() + static_cast<std::ptrdiff_t>(begin + len));
-    ParsedFrame parsed = parse_frame(chunk, config);
-    if (parsed.valid()) {
-      frames.push_back(std::move(parsed));
-      begin += len;
-    } else {
-      ++begin;
-    }
+    if (begin + len == unpacked.size()) break;
+    reg = sliding.slide(reg, frame[0] != 0, frame[len] != 0);
+    ++begin;
   }
+  // Same totals parse_frame would have counted at each checked offset.
+  frames_parsed().add(checked);
+  frames_crc_failed().add(failed);
   return frames;
 }
 

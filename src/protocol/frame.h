@@ -54,7 +54,8 @@ std::vector<ParsedFrame> parse_stream(const std::vector<bool>& bits,
 /// Resynchronizing parser: scans the stream for CRC-valid frames at *any*
 /// bit offset and returns the non-overlapping set, greedily left-to-right.
 /// Tolerant of bit slips (e.g. at the seams of windowed decoding) at the
-/// cost of O(bits x frame length) and the CRC's false-positive floor.
+/// cost of the CRC's false-positive floor. O(bits): one CRC register
+/// slides along the stream and is re-seeded only after a hit.
 std::vector<ParsedFrame> scan_frames(const std::vector<bool>& bits,
                                      const FrameConfig& config);
 

@@ -35,30 +35,49 @@ std::vector<double> EdgeDetector::differential_magnitude(
   std::vector<Complex> prefix(xs.size() + 1);
   for (std::size_t i = 0; i < xs.size(); ++i) prefix[i + 1] = prefix[i] + xs[i];
   const auto sum = [&](SampleIndex lo, SampleIndex hi) {  // [lo, hi)
-    lo = std::clamp<SampleIndex>(lo, 0, n);
-    hi = std::clamp<SampleIndex>(hi, 0, n);
-    if (hi <= lo) return Complex{};
     return prefix[static_cast<std::size_t>(hi)] -
            prefix[static_cast<std::size_t>(lo)];
   };
 
   const auto w = static_cast<SampleIndex>(config_.window);
   const auto g = static_cast<SampleIndex>(config_.guard);
-  for (SampleIndex i = 0; i < n; ++i) {
-    const SampleIndex before_lo = i - g - w;
-    const SampleIndex before_hi = i - g;
-    const SampleIndex after_lo = i + g;
-    const SampleIndex after_hi = i + g + w;
-    const auto nb = static_cast<double>(
-        std::clamp<SampleIndex>(before_hi, 0, n) -
-        std::clamp<SampleIndex>(before_lo, 0, n));
-    const auto na = static_cast<double>(
-        std::clamp<SampleIndex>(after_hi, 0, n) -
-        std::clamp<SampleIndex>(after_lo, 0, n));
-    if (nb < 1.0 || na < 1.0) continue;  // too close to the buffer edge
+  // Near either end a window is cut to the part inside the buffer.
+  const auto clamped = [&](SampleIndex i) {
+    const SampleIndex before_lo = std::clamp<SampleIndex>(i - g - w, 0, n);
+    const SampleIndex before_hi = std::clamp<SampleIndex>(i - g, 0, n);
+    const SampleIndex after_lo = std::clamp<SampleIndex>(i + g, 0, n);
+    const SampleIndex after_hi = std::clamp<SampleIndex>(i + g + w, 0, n);
+    const auto nb = static_cast<double>(before_hi - before_lo);
+    const auto na = static_cast<double>(after_hi - after_lo);
+    if (nb < 1.0 || na < 1.0) return;  // too close to the buffer edge
     const Complex before = sum(before_lo, before_hi) / nb;
     const Complex after = sum(after_lo, after_hi) / na;
     out[static_cast<std::size_t>(i)] = std::abs(after - before);
+  };
+
+  // Interior [reach, n - reach]: both windows are whole, so no clamps.
+  // The before window of sample i is the w-sample window starting at
+  // i - reach and the after window the one starting at i + g, so each
+  // window mean is computed once, with the same expression (and so the
+  // same double) as the clamped path, and |dS| is one difference.
+  const SampleIndex reach = g + w;
+  const SampleIndex interior_begin = std::min(reach, n);
+  const SampleIndex interior_end = std::max(interior_begin, n - reach + 1);
+  for (SampleIndex i = 0; i < interior_begin; ++i) clamped(i);
+  for (SampleIndex i = interior_end; i < n; ++i) clamped(i);
+  if (interior_begin < interior_end) {
+    // The window means overwrite the prefix sums in place: entry j is
+    // read (with j + w, not yet overwritten) just before it is replaced.
+    const auto width = static_cast<double>(w);
+    std::vector<Complex>& means = prefix;
+    for (SampleIndex j = 0; j + w <= n; ++j) {
+      means[static_cast<std::size_t>(j)] = sum(j, j + w) / width;
+    }
+    for (SampleIndex i = interior_begin; i < interior_end; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          std::abs(means[static_cast<std::size_t>(i + g)] -
+                   means[static_cast<std::size_t>(i - reach)]);
+    }
   }
   return out;
 }

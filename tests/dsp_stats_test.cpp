@@ -1,8 +1,13 @@
 // Tests for src/dsp statistics, filters, and peak detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "common/rng.h"
 #include "dsp/filters.h"
 #include "dsp/peaks.h"
 #include "dsp/resample.h"
@@ -43,6 +48,45 @@ TEST(Stats, Percentiles) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 100.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 50.0);
   EXPECT_NEAR(percentile(xs, 25.0), 25.0, 1e-9);
+}
+
+/// Sort-based percentile: the reference the selection version must match
+/// bit for bit.
+double percentile_by_sort(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+std::uint64_t bit_pattern(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Stats, PercentileMatchesSortReferenceExactly) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 10u, 11u, 100u, 101u,
+                              1000u, 1001u}) {
+    // Continuous, heavily tied (five distinct values) and skewed inputs.
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = kind == 0   ? rng.gaussian(0.0, 1.0)
+            : kind == 1 ? static_cast<double>(rng.uniform_int(-2, 2))
+                        : std::exp(rng.uniform(0.0, 8.0));
+      }
+      std::vector<double> ps = {0.0, 5.0, 50.0, 95.0, 100.0};
+      for (int r = 0; r < 4; ++r) ps.push_back(rng.uniform(0.0, 100.0));
+      for (const double p : ps) {
+        EXPECT_EQ(bit_pattern(percentile(xs, p)),
+                  bit_pattern(percentile_by_sort(xs, p)))
+            << "n=" << n << " kind=" << kind << " p=" << p;
+      }
+      EXPECT_EQ(bit_pattern(median(xs)),
+                bit_pattern(percentile_by_sort(xs, 50.0)))
+          << "n=" << n << " kind=" << kind;
+    }
+  }
 }
 
 TEST(Stats, MinMax) {
@@ -161,6 +205,109 @@ TEST(Peaks, ThresholdFiltersNoise) {
   const auto peaks = find_peaks(xs, {.min_value = 0.8, .min_distance = 1});
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].index, 3u);
+}
+
+/// The O(candidates x accepted) suppression scan find_peaks used before
+/// the occupancy lookup, kept as the exactness oracle.
+std::vector<Peak> find_peaks_by_scan(std::span<const double> xs,
+                                     const PeakOptions& opts) {
+  const auto at = [&](std::int64_t i) {
+    const auto n = static_cast<std::int64_t>(xs.size());
+    if (opts.circular) {
+      i = ((i % n) + n) % n;
+    } else if (i < 0 || i >= n) {
+      return -1e300;
+    }
+    return xs[static_cast<std::size_t>(i)];
+  };
+  std::vector<Peak> candidates;
+  const auto n = static_cast<std::int64_t>(xs.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double v = xs[static_cast<std::size_t>(i)];
+    if (v < opts.min_value) continue;
+    if (v > at(i - 1) && v >= at(i + 1)) {
+      candidates.push_back({static_cast<std::size_t>(i), v});
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Peak& a, const Peak& b) { return a.value > b.value; });
+  std::vector<Peak> accepted;
+  for (const Peak& c : candidates) {
+    const bool too_close = std::any_of(
+        accepted.begin(), accepted.end(), [&](const Peak& a) {
+          const std::size_t d =
+              a.index > c.index ? a.index - c.index : c.index - a.index;
+          const std::size_t dist =
+              opts.circular ? std::min(d, xs.size() - d) : d;
+          return dist < opts.min_distance;
+        });
+    if (!too_close) accepted.push_back(c);
+  }
+  return accepted;
+}
+
+void expect_same_peaks(const std::vector<Peak>& got,
+                       const std::vector<Peak>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].index, want[i].index) << where << " peak " << i;
+    EXPECT_EQ(bit_pattern(got[i].value), bit_pattern(want[i].value))
+        << where << " peak " << i;
+  }
+}
+
+TEST(Peaks, OccupancyLookupMatchesScanOracleExactly) {
+  Rng rng(43);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 64u, 257u, 1000u}) {
+    // Noise with sparse spikes, and a coarsely quantized copy of it, which
+    // makes plateaus and equal-valued peaks.
+    for (const bool quantized : {false, true}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = std::abs(rng.gaussian(0.0, 1.0));
+        if (rng.bernoulli(0.05)) x += rng.uniform(2.0, 6.0);
+        if (quantized) x = std::round(x * 2.0) / 2.0;
+      }
+      for (const bool circular : {false, true}) {
+        for (const std::size_t md :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+              std::size_t{6}, n / 2, n / 2 + 1, n, 2 * n + 5}) {
+          for (const double floor : {0.0, 1.5}) {
+            const PeakOptions opts{
+                .min_value = floor, .min_distance = md, .circular = circular};
+            expect_same_peaks(find_peaks(xs, opts), find_peaks_by_scan(xs, opts),
+                              "n=" + std::to_string(n) +
+                                  " quantized=" + std::to_string(quantized) +
+                                  " circular=" + std::to_string(circular) +
+                                  " md=" + std::to_string(md));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Peaks, SuppressionWrapsAroundIndexZero) {
+  // Peaks straddling the seam: 3 and 2 sit three cells apart across index
+  // 0, 1.5 sits far from both.
+  std::vector<double> xs(40, 0.0);
+  xs[38] = 3.0;
+  xs[1] = 2.0;
+  xs[20] = 1.5;
+  for (const std::size_t md : {1u, 3u, 4u, 19u, 20u, 21u}) {
+    for (const bool circular : {false, true}) {
+      const PeakOptions opts{
+          .min_value = 1.0, .min_distance = md, .circular = circular};
+      expect_same_peaks(find_peaks(xs, opts), find_peaks_by_scan(xs, opts),
+                        "md=" + std::to_string(md) +
+                            " circular=" + std::to_string(circular));
+    }
+  }
+  const auto wrapped =
+      find_peaks(xs, {.min_value = 1.0, .min_distance = 4, .circular = true});
+  ASSERT_EQ(wrapped.size(), 2u);
+  EXPECT_EQ(wrapped[0].index, 38u);
+  EXPECT_EQ(wrapped[1].index, 20u);
 }
 
 TEST(Resample, IdentityWhenRatesEqual) {

@@ -2,7 +2,11 @@
 // identification sessions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "protocol/crc.h"
 #include "protocol/epoch.h"
 #include "protocol/frame.h"
@@ -112,6 +116,172 @@ TEST(Frame, ParseStreamSplitsConsecutiveFrames) {
   EXPECT_EQ(frames[0].payload, p1);
   EXPECT_EQ(frames[1].payload, p2);
   EXPECT_TRUE(frames[0].valid() && frames[1].valid());
+}
+
+/// CRC check as it read before the shared range routine: recompute the
+/// register over the message and compare it with the trailing bits.
+bool check_by_tail_compare(const std::vector<bool>& bits, const CrcSpec& spec) {
+  if (bits.size() < spec.width) return false;
+  const std::vector<bool> message(bits.begin(), bits.end() - spec.width);
+  const std::uint32_t expected =
+      crc_bits(message.begin(), message.end(), spec);
+  std::uint32_t got = 0;
+  for (std::size_t i = bits.size() - spec.width; i < bits.size(); ++i) {
+    got = (got << 1) | (bits[i] ? 1u : 0u);
+  }
+  return got == expected;
+}
+
+TEST(Crc, ResidueCheckMatchesTailCompare) {
+  Rng rng(17);
+  for (const CrcSpec& spec : {kCrc5Epc, kCrc16Ccitt}) {
+    for (std::size_t len = 0; len < 48; ++len) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<bool> bits = rng.bits(len);
+        // Half the trials carry a valid CRC, some with one bit flipped.
+        if (trial % 2 == 0 && len >= spec.width) {
+          bits.resize(len - spec.width);
+          bits = spec.width == 5 ? append_crc5(bits) : append_crc16(bits);
+          if (trial % 4 == 0) {
+            const auto flip = rng.uniform_u64(len);
+            bits[flip] = !bits[flip];
+          }
+        }
+        const bool want = check_by_tail_compare(bits, spec);
+        EXPECT_EQ(spec.width == 5 ? check_crc5(bits) : check_crc16(bits), want)
+            << "width=" << spec.width << " len=" << len;
+        EXPECT_EQ(crc_matches(bits, spec), want);
+      }
+    }
+  }
+}
+
+TEST(Crc, SlidingRegisterMatchesFullRecomputeAtEveryOffset) {
+  Rng rng(20);
+  for (const CrcSpec& spec : {kCrc5Epc, kCrc16Ccitt}) {
+    for (const std::size_t len : {1u, 5u, 16u, 17u, 102u, 113u}) {
+      const std::vector<bool> bits = rng.bits(400);
+      const SlidingCrc sliding(spec, len);
+      std::uint32_t reg = crc_bits(bits.begin(), bits.begin() + len, spec);
+      for (std::size_t b = 0; b + len <= bits.size(); ++b) {
+        const auto first = bits.begin() + static_cast<std::ptrdiff_t>(b);
+        ASSERT_EQ(reg, crc_bits(first, first + len, spec))
+            << "width=" << spec.width << " len=" << len << " offset=" << b;
+        if (b + len < bits.size()) reg = sliding.slide(reg, bits[b], bits[b + len]);
+      }
+    }
+  }
+}
+
+/// The scanner as it ran before the sliding CRC: slice a frame at every
+/// anchor-set offset and hand it to parse_frame.
+std::vector<ParsedFrame> scan_by_parse_frame(const std::vector<bool>& bits,
+                                             const FrameConfig& config) {
+  std::vector<ParsedFrame> frames;
+  const std::size_t len = config.frame_bits();
+  std::size_t begin = 0;
+  while (begin + len <= bits.size()) {
+    if (!bits[begin]) {
+      ++begin;
+      continue;
+    }
+    const std::vector<bool> chunk(
+        bits.begin() + static_cast<std::ptrdiff_t>(begin),
+        bits.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    ParsedFrame parsed = parse_frame(chunk, config);
+    if (parsed.valid()) {
+      frames.push_back(std::move(parsed));
+      begin += len;
+    } else {
+      ++begin;
+    }
+  }
+  return frames;
+}
+
+struct CounterDeltas {
+  std::uint64_t parsed = 0;
+  std::uint64_t crc_failed = 0;
+};
+
+template <typename Scan>
+CounterDeltas count_while(Scan&& scan) {
+  obs::Counter& parsed = obs::metrics().counter("protocol.frames_parsed");
+  obs::Counter& failed = obs::metrics().counter("protocol.frames_crc_failed");
+  const std::uint64_t p0 = parsed.value();
+  const std::uint64_t f0 = failed.value();
+  scan();
+  return {parsed.value() - p0, failed.value() - f0};
+}
+
+/// Frames back to back with random slips (a dropped or an extra bit), the
+/// odd corrupted frame, garbage in front, and the last frame ending exactly
+/// at the last bit.
+std::vector<bool> slipped_stream(const FrameConfig& cfg, std::size_t frames,
+                                 Rng& rng) {
+  std::vector<bool> bits = rng.bits(rng.uniform_u64(40));
+  for (std::size_t f = 0; f < frames; ++f) {
+    auto frame = build_frame(rng.bits(cfg.payload_bits), cfg);
+    if (rng.bernoulli(0.15)) {
+      const auto flip = rng.uniform_u64(frame.size());
+      frame[flip] = !frame[flip];
+    }
+    if (f + 1 < frames) {
+      if (rng.bernoulli(0.2)) frame.pop_back();
+      if (rng.bernoulli(0.2)) frame.push_back(rng.bernoulli(0.5));
+    }
+    bits.insert(bits.end(), frame.begin(), frame.end());
+  }
+  return bits;
+}
+
+TEST(ScanFrames, MatchesPerOffsetParseFrameReference) {
+  Rng rng(18);
+  for (const CrcKind crc : {CrcKind::kCrc5, CrcKind::kCrc16}) {
+    // Short payloads make CRC false positives (and so the greedy skip
+    // after a hit) common; 96 bits is the on-air size.
+    for (const std::size_t payload_bits : {4u, 12u, 96u}) {
+      const FrameConfig cfg{.payload_bits = payload_bits, .crc = crc};
+      for (int trial = 0; trial < 12; ++trial) {
+        const std::vector<bool> bits =
+            trial == 0 ? std::vector<bool>{}
+                       : slipped_stream(cfg, rng.uniform_u64(30), rng);
+        std::vector<ParsedFrame> got, want;
+        const CounterDeltas got_counts =
+            count_while([&] { got = scan_frames(bits, cfg); });
+        const CounterDeltas want_counts =
+            count_while([&] { want = scan_by_parse_frame(bits, cfg); });
+        const std::string where = "crc=" + std::to_string(cfg.crc_bits()) +
+                                  " payload=" + std::to_string(payload_bits) +
+                                  " trial=" + std::to_string(trial);
+        EXPECT_EQ(got_counts.parsed, want_counts.parsed) << where;
+        EXPECT_EQ(got_counts.crc_failed, want_counts.crc_failed) << where;
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].payload, want[i].payload) << where << " frame " << i;
+          EXPECT_EQ(got[i].anchor_ok, want[i].anchor_ok) << where;
+          EXPECT_EQ(got[i].crc_ok, want[i].crc_ok) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanFrames, FrameEndingAtTheLastBitIsFound) {
+  Rng rng(19);
+  for (const CrcKind crc : {CrcKind::kCrc5, CrcKind::kCrc16}) {
+    const FrameConfig cfg{.payload_bits = 96, .crc = crc};
+    const auto payload = rng.bits(cfg.payload_bits);
+    std::vector<bool> bits(7, false);
+    const auto frame = build_frame(payload, cfg);
+    bits.insert(bits.end(), frame.begin(), frame.end());
+    const auto frames = scan_frames(bits, cfg);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].payload, payload);
+    EXPECT_TRUE(frames[0].valid());
+    bits.pop_back();  // one bit short: nothing fits
+    EXPECT_TRUE(scan_frames(bits, cfg).empty());
+  }
 }
 
 TEST(RatePlan, PaperRatesAllDivideMax) {
