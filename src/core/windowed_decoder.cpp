@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -22,6 +23,12 @@ void trim_trailing_zeros(std::vector<bool>& bits, std::size_t frame_bits) {
     if (!all_zero) break;
     bits.resize(bits.size() - frame_bits);
   }
+}
+
+std::size_t lattice_samples(Seconds window, SampleRate fs) {
+  const auto n = static_cast<std::size_t>(window * fs);
+  LFBS_CHECK(n > 0);
+  return n;
 }
 
 }  // namespace
@@ -210,7 +217,17 @@ void WindowStitcher::add_window(DecodeResult window,
   }
 }
 
+void WindowStitcher::add(std::size_t index, bool whole_capture,
+                         DecodeResult result) {
+  if (whole_capture) {
+    whole_capture_ = std::move(result);
+    return;
+  }
+  add_window(std::move(result), index * lattice_samples(config_.window, fs_));
+}
+
 DecodeResult WindowStitcher::finish() {
+  if (whole_capture_) return std::move(*whole_capture_);
   for (Thread& thread : threads_) {
     DecodedStream stream;
     stream.start_sample = thread.start_abs;
@@ -249,9 +266,7 @@ WindowedDecoder::WindowedDecoder(WindowedDecoderConfig config)
 }
 
 std::size_t WindowedDecoder::window_samples(SampleRate fs) const {
-  const auto n = static_cast<std::size_t>(config_.window * fs);
-  LFBS_CHECK(n > 0);
-  return n;
+  return lattice_samples(config_.window, fs);
 }
 
 bool WindowedDecoder::is_short_capture(std::size_t total_samples,
@@ -284,27 +299,33 @@ DecodeResult WindowedDecoder::decode_window(const signal::SampleBuffer& slice,
   return LfDecoder(dc).decode(slice);
 }
 
-DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
-  if (buffer.empty() ||
-      is_short_capture(buffer.size(), buffer.sample_rate())) {
-    return LfDecoder(config_.decoder).decode(buffer);
-  }
-  const double fs = buffer.sample_rate();
-  const std::size_t window_samples_n = window_samples(fs);
+DecodeResult WindowedDecoder::decode_window(const Window& window) const {
+  return window.whole_capture
+             ? LfDecoder(config_.decoder).decode(window.samples)
+             : decode_window(window.samples, window.index);
+}
 
+DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
+  // A default-constructed buffer has no sample rate to lay a lattice on.
+  if (buffer.empty()) return decode_window(Window{0, true, buffer});
+  const double fs = buffer.sample_rate();
   WindowStitcher stitcher(config_, fs);
-  std::size_t window_index = 0;
-  for (std::size_t offset = 0; offset < buffer.size();
-       offset += window_samples_n, ++window_index) {
-    const std::size_t end =
-        std::min(buffer.size(), offset + window_samples_n);
-    if (end - offset < window_samples_n / 4) break;  // ignore a tiny tail
-    const auto slice_span = buffer.slice(offset, end);
-    signal::SampleBuffer slice(
-        fs, std::vector<Complex>(slice_span.begin(), slice_span.end()));
-    stitcher.add_window(decode_window(slice, window_index), offset);
+  bool whole_capture = false;
+  WindowAssembler assembler(*this, fs, [&](Window window) {
+    whole_capture = window.whole_capture;
+    stitcher.add(window.index, window.whole_capture, decode_window(window));
+  });
+  // Window-sized pieces keep the hold-back to two windows of copies instead
+  // of the whole capture.
+  const std::span<const Complex> samples = buffer.span();
+  const std::size_t n = window_samples(fs);
+  for (std::size_t offset = 0; offset < samples.size(); offset += n) {
+    assembler.push(offset,
+                   samples.subspan(offset, std::min(n, samples.size() - offset)));
   }
+  assembler.finish();
   DecodeResult result = stitcher.finish();
+  if (whole_capture) return result;
   // Whole-capture degraded fallback: only when windowing + stitching
   // produced nothing at all does a single-pass decode with the ladder get
   // a shot at the full buffer (the per-window ladder is disabled, see
@@ -325,6 +346,93 @@ DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
     }
   }
   return result;
+}
+
+WindowAssembler::WindowAssembler(const WindowedDecoder& decoder,
+                                 SampleRate fs, Sink sink)
+    : decoder_(decoder),
+      fs_(fs),
+      window_samples_(decoder.window_samples(fs)),
+      sink_(std::move(sink)) {
+  window_.reserve(window_samples_);
+}
+
+void WindowAssembler::push(std::uint64_t first_sample,
+                           std::span<const Complex> samples) {
+  if (first_sample > next_expected_) {
+    samples_gap_ += first_sample - next_expected_;
+    append_zeros(first_sample - next_expected_);
+    next_expected_ = first_sample;
+  }
+  const auto skip = static_cast<std::size_t>(std::min<std::uint64_t>(
+      next_expected_ - first_sample, samples.size()));
+  samples = samples.subspan(skip);
+  append(samples);
+  samples_in_ += samples.size();
+  next_expected_ += samples.size();
+  if (!known_long_ &&
+      !decoder_.is_short_capture(static_cast<std::size_t>(next_expected_),
+                                 fs_)) {
+    known_long_ = true;
+    for (auto& held : held_) emit(false, std::move(held));
+    held_.clear();
+  }
+}
+
+std::size_t WindowAssembler::finish() {
+  if (!known_long_) {
+    std::vector<Complex> all;
+    for (const auto& held : held_) {
+      all.insert(all.end(), held.begin(), held.end());
+    }
+    held_.clear();
+    if (all.empty()) {
+      all = std::move(window_);
+    } else {
+      all.insert(all.end(), window_.begin(), window_.end());
+    }
+    emit(true, std::move(all));
+  } else if (window_.size() >= window_samples_ / 4) {
+    emit(false, std::move(window_));
+  }
+  window_ = {};
+  return next_index_;
+}
+
+void WindowAssembler::append(std::span<const Complex> samples) {
+  while (!samples.empty()) {
+    const std::size_t take =
+        std::min(samples.size(), window_samples_ - window_.size());
+    window_.insert(window_.end(), samples.begin(),
+                   samples.begin() + static_cast<std::ptrdiff_t>(take));
+    samples = samples.subspan(take);
+    if (window_.size() == window_samples_) close_window();
+  }
+}
+
+void WindowAssembler::append_zeros(std::uint64_t n) {
+  while (n > 0) {
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(
+        n, window_samples_ - window_.size()));
+    window_.resize(window_.size() + take);  // value-initialized: zeros
+    n -= take;
+    if (window_.size() == window_samples_) close_window();
+  }
+}
+
+void WindowAssembler::close_window() {
+  std::vector<Complex> full = std::exchange(window_, {});
+  window_.reserve(window_samples_);
+  if (known_long_) {
+    emit(false, std::move(full));
+  } else {
+    held_.push_back(std::move(full));
+  }
+}
+
+void WindowAssembler::emit(bool whole_capture, std::vector<Complex> samples) {
+  sink_(Window{next_index_++, whole_capture,
+               signal::SampleBuffer(fs_, std::move(samples))});
 }
 
 }  // namespace lfbs::core

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
 
 #include "core/lf_decoder.h"
 
@@ -29,10 +32,12 @@ namespace lfbs::core {
 /// bits falls out of the boundary positions, and their value is the
 /// thread's last level.
 ///
-/// The two phases are exposed separately so the concurrent runtime
-/// (src/runtime) can decode windows on a worker pool and stitch on a single
-/// thread: decode_window() is pure and safe to call from any thread, while
-/// a WindowStitcher consumes window results strictly in window order.
+/// The phases are exposed separately so the concurrent runtime
+/// (src/runtime) and the sharded decoder (src/net/federation) run the same
+/// pipeline as decode(): a WindowAssembler cuts the sample stream into the
+/// window lattice, decode_window() is pure and safe to call from any thread
+/// or process, and a WindowStitcher consumes window results strictly in
+/// window order.
 struct WindowedDecoderConfig {
   DecoderConfig decoder;
   /// Processing window. Must be long enough that the slowest expected tag
@@ -47,6 +52,17 @@ struct WindowedDecoderConfig {
   double vector_tolerance = 0.4;
 };
 
+/// One cell of the window lattice, ready to decode.
+struct Window {
+  /// Lattice position: the window starts at capture sample
+  /// index × window_samples.
+  std::size_t index = 0;
+  /// The whole of a capture of at most 1.5 windows, decoded in one piece
+  /// by the plain decoder instead of windowed.
+  bool whole_capture = false;
+  signal::SampleBuffer samples;
+};
+
 /// Serial half of the windowed decode: consumes per-window DecodeResults
 /// strictly in window order and assembles end-to-end threads via the three
 /// continuity keys. Not thread-safe; the runtime funnels all worker output
@@ -58,6 +74,11 @@ class WindowStitcher {
   /// Folds in the decode of the window starting at absolute sample
   /// `offset_samples`. Windows must arrive in capture order.
   void add_window(DecodeResult window, std::size_t offset_samples);
+
+  /// Folds in the decode of lattice window `index`, stitched at
+  /// index × window_samples. The result of a whole-capture window is
+  /// finish()'s output as it stands.
+  void add(std::size_t index, bool whole_capture, DecodeResult result);
 
   /// Emits the stitched threads (trimmed, frame-scanned) together with the
   /// accumulated diagnostics. The stitcher is spent afterwards.
@@ -98,6 +119,7 @@ class WindowStitcher {
   std::size_t windows_ = 0;
   DecodeResult result_;  ///< accumulates diagnostics until finish()
   std::vector<Thread> threads_;
+  std::optional<DecodeResult> whole_capture_;
 };
 
 class WindowedDecoder {
@@ -106,10 +128,14 @@ class WindowedDecoder {
 
   const WindowedDecoderConfig& config() const { return config_; }
 
-  /// Decodes a capture of any length. Short captures (≤ 1.5 windows) fall
-  /// through to the plain decoder. Equivalent to decode_window() over every
-  /// window followed by a WindowStitcher — the runtime's parallel path
-  /// produces bit-identical output.
+  /// Decodes a capture of any length: a WindowAssembler, decode_window()
+  /// per window and a WindowStitcher, the pipeline the runtime and the
+  /// sharded decoder also run. Short captures (≤ 1.5 windows) fall through
+  /// to the plain decoder. One step is serial-only: when the stitched
+  /// result of a windowed capture holds no CRC-valid frame, the whole
+  /// capture is decoded again with the fallback ladder and that result is
+  /// returned if it holds one. The streaming paths match decode() bit for
+  /// bit except in that case.
   DecodeResult decode(const signal::SampleBuffer& buffer) const;
 
   /// Window length in samples at the given rate.
@@ -128,12 +154,66 @@ class WindowedDecoder {
   DecodeResult decode_window(const signal::SampleBuffer& slice,
                              std::size_t window_index) const;
 
+  /// Decodes one assembled window: a whole capture with the plain decoder
+  /// (base seed, fallback ladder as configured), any other window with
+  /// decode_window(samples, index).
+  DecodeResult decode_window(const Window& window) const;
+
   /// The per-window decoder seed: splitmix64 of (seed, window_index).
   static std::uint64_t window_seed(std::uint64_t seed,
                                    std::size_t window_index);
 
  private:
   WindowedDecoderConfig config_;
+};
+
+/// Cuts a sample stream into the decoder's window lattice. The lattice
+/// rules live here only:
+///   - a jump forward in first_sample is a lost span; it is zero-filled so
+///     later samples keep their absolute window positions;
+///   - samples before the stream's current end (a rewound chunk) are
+///     skipped;
+///   - full windows are held back until the stream exceeds 1.5 windows; a
+///     stream that never does becomes one whole-capture window at finish();
+///   - at finish(), a tail shorter than a quarter window is dropped.
+/// Windows reach `sink` in index order, each as soon as it is decided.
+class WindowAssembler {
+ public:
+  using Sink = std::function<void(Window)>;
+
+  /// `decoder` must outlive the assembler.
+  WindowAssembler(const WindowedDecoder& decoder, SampleRate fs, Sink sink);
+
+  /// Feeds samples whose first one sits at absolute position
+  /// `first_sample`.
+  void push(std::uint64_t first_sample, std::span<const Complex> samples);
+
+  /// Ends the stream and emits what is still held. Returns the number of
+  /// windows emitted over the whole stream.
+  std::size_t finish();
+
+  /// Samples taken from push() (overlaps skipped), and samples zero-filled
+  /// into gaps.
+  std::uint64_t samples_in() const { return samples_in_; }
+  std::uint64_t samples_gap() const { return samples_gap_; }
+
+ private:
+  void append(std::span<const Complex> samples);
+  void append_zeros(std::uint64_t n);
+  void close_window();
+  void emit(bool whole_capture, std::vector<Complex> samples);
+
+  const WindowedDecoder& decoder_;
+  SampleRate fs_;
+  std::size_t window_samples_;
+  Sink sink_;
+  std::vector<Complex> window_;
+  std::vector<std::vector<Complex>> held_;
+  std::uint64_t next_expected_ = 0;
+  std::size_t next_index_ = 0;
+  bool known_long_ = false;
+  std::uint64_t samples_in_ = 0;
+  std::uint64_t samples_gap_ = 0;
 };
 
 }  // namespace lfbs::core

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "common/check.h"
 #include "net/federation/shard_wire.h"
@@ -20,13 +21,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kIqChunkSamples = 1 << 16;
-
-/// A dispatched window retained (failover mode) until its result lands, so
-/// a dead worker's in-flight work can be replayed to a survivor.
-struct PendingWindow {
-  bool short_capture = false;
-  std::vector<Complex> samples;
-};
 
 }  // namespace
 
@@ -110,9 +104,10 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   }
 
   ShardStats stats;
-  // Failover state: retained in-flight windows, and window indices
-  // harvested from dead links awaiting re-dispatch.
-  std::map<std::uint64_t, PendingWindow> pending;
+  // Failover state: dispatched windows retained until their result lands,
+  // so a dead worker's in-flight work can be replayed to a survivor, and
+  // window indices harvested from dead links awaiting re-dispatch.
+  std::map<std::uint64_t, core::Window> pending;
   std::deque<std::uint64_t> reassign_queue;
 
   // Budget accounting (failover mode): every retained window's sample
@@ -120,12 +115,12 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   // flight and released when its result lands. The guard squares the
   // books on every exit path — including the throws below — so a failed
   // run never leaks its in-flight bytes into the gateway's pool.
-  const auto pending_bytes = [](const PendingWindow& w) {
+  const auto pending_bytes = [](const core::Window& w) {
     return w.samples.size() * sizeof(Complex);
   };
   struct PendingBudgetGuard {
     ResourceBudget* budget;
-    const std::map<std::uint64_t, PendingWindow>& pending;
+    const std::map<std::uint64_t, core::Window>& pending;
     ~PendingBudgetGuard() {
       if (budget == nullptr) return;
       for (const auto& [index, w] : pending) {
@@ -296,12 +291,12 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   };
 
   // Encodes one assignment (+ its f64 IQ) and writes it to `link`.
-  const auto transmit = [&](WorkerLink& link, std::uint64_t window_index,
-                            bool short_capture,
-                            const std::vector<Complex>& samples) {
+  const auto transmit = [&](WorkerLink& link, const core::Window& window) {
+    const std::uint64_t window_index = window.index;
+    const std::span<const Complex> samples = window.samples.span();
     ShardAssign assign;
     assign.window_index = window_index;
-    assign.short_capture = short_capture;
+    assign.short_capture = window.whole_capture;
     assign.sample_count = samples.size();
     assign.sample_rate = fs;
     assign.window_seconds = config_.windowed.window;
@@ -369,14 +364,13 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
                    obs::Field::integer(
                        "worker", static_cast<std::int64_t>(target->index))});
       }
-      transmit(*target, window_index, it->second.short_capture,
-               it->second.samples);
+      transmit(*target, it->second);
     }
   };
 
   // Dispatches one window (or the short-capture whole buffer) to a worker.
-  const auto dispatch = [&](std::uint64_t window_index, bool short_capture,
-                            std::vector<Complex> samples) {
+  const auto dispatch = [&](core::Window window) {
+    const std::uint64_t window_index = window.index;
     ++stats.windows_assigned;
     windows_counter.add();
     WorkerLink* link =
@@ -387,7 +381,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
                         std::to_string(window_index));
     }
     if (config_.failover) {
-      const std::size_t bytes = samples.size() * sizeof(Complex);
+      const std::size_t bytes = pending_bytes(window);
       if (config_.budget != nullptr && bytes > 0) {
         // Bounded saturation throttle: while the shared pool is full,
         // drain results (a landing result frees its window's bytes)
@@ -414,104 +408,22 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
           if (!charged) config_.budget->charge(bytes);
         }
       }
-      const auto it =
-          pending
-              .emplace(window_index,
-                       PendingWindow{short_capture, std::move(samples)})
-              .first;
-      transmit(*link, window_index, short_capture, it->second.samples);
+      const auto it = pending.emplace(window_index, std::move(window)).first;
+      transmit(*link, it->second);
     } else {
-      transmit(*link, window_index, short_capture, samples);
+      transmit(*link, window);
     }
     pump_reassign();
   };
 
-  // --- IqSharder: the runtime assembler's slicing, verbatim --------------
-  // Same lattice rules: zero-fill gaps so absolute positions hold, hold
-  // early windows back until the capture is known long (short captures
-  // take the whole-buffer plain-decode path), drop a tail shorter than a
-  // quarter window.
-  std::vector<Complex> window;
-  window.reserve(window_samples);
-  std::vector<std::vector<Complex>> held;
-  std::uint64_t next_expected = 0;
-  std::uint64_t next_window_index = 0;
-  bool known_long = false;
-
-  const auto close_full_window = [&] {
-    if (known_long) {
-      dispatch(next_window_index++, /*short_capture=*/false,
-               std::move(window));
-    } else {
-      held.push_back(std::move(window));
-      ++next_window_index;
-    }
-    window = {};
-    window.reserve(window_samples);
-  };
-  const auto append = [&](const Complex* data, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t take =
-          std::min(n - done, window_samples - window.size());
-      window.insert(window.end(), data + done, data + done + take);
-      done += take;
-      if (window.size() == window_samples) close_full_window();
-    }
-  };
-
+  // --- slicing: the decoder's window lattice ------------------------------
+  core::WindowAssembler assembler(
+      decoder, fs, [&](core::Window window) { dispatch(std::move(window)); });
   while (auto chunk = source.next_chunk()) {
-    if (chunk->first_sample > next_expected) {
-      std::uint64_t gap = chunk->first_sample - next_expected;
-      const std::vector<Complex> zeros(
-          std::min<std::uint64_t>(gap, window_samples), Complex{});
-      while (gap > 0) {
-        const auto take = std::min<std::uint64_t>(gap, zeros.size());
-        append(zeros.data(), static_cast<std::size_t>(take));
-        gap -= take;
-      }
-      next_expected = chunk->first_sample;
-    }
-    std::size_t skip = 0;
-    if (chunk->first_sample < next_expected) {
-      skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-          next_expected - chunk->first_sample, chunk->size()));
-    }
-    const std::size_t fresh = chunk->size() - skip;
-    append(chunk->samples.data() + skip, fresh);
-    stats.samples_in += fresh;
-    next_expected += fresh;
-    if (!known_long &&
-        !decoder.is_short_capture(static_cast<std::size_t>(next_expected),
-                                  fs)) {
-      known_long = true;
-      std::uint64_t index = 0;
-      for (auto& held_window : held) {
-        dispatch(index++, /*short_capture=*/false, std::move(held_window));
-      }
-      held.clear();
-    }
+    assembler.push(chunk->first_sample, chunk->samples);
   }
-
-  std::uint64_t expected_windows = 0;
-  bool is_short = false;
-  if (!known_long) {
-    // Short capture: one whole-buffer assignment, plain-decoder path.
-    std::vector<Complex> all;
-    for (auto& held_window : held) {
-      all.insert(all.end(), held_window.begin(), held_window.end());
-    }
-    all.insert(all.end(), window.begin(), window.end());
-    dispatch(0, /*short_capture=*/true, std::move(all));
-    expected_windows = 1;
-    is_short = true;
-  } else {
-    if (window.size() >= window_samples / 4) {
-      dispatch(next_window_index++, /*short_capture=*/false,
-               std::move(window));
-    }
-    expected_windows = next_window_index;
-  }
+  const std::uint64_t expected_windows = assembler.finish();
+  stats.samples_in = assembler.samples_in();
 
   // --- end of input: collect every window, then close the links ----------
   // iq_end is deferred until every result is in hand: a survivor may still
@@ -561,21 +473,16 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   LFBS_CHECK_MSG(results.size() == expected_windows,
                  "sharded decode is missing window results");
 
-  // --- ShardMerger: the runtime stitcher, re-used verbatim ---------------
+  // --- merge: the same in-order stitch as the runtime ---------------------
   Result out;
-  if (is_short) {
-    out.decode = std::move(results.begin()->second.result);
-  } else {
-    core::WindowStitcher stitcher(config_.windowed, fs);
-    for (std::uint64_t index = 0; index < expected_windows; ++index) {
-      const auto it = results.find(index);
-      LFBS_CHECK_MSG(it != results.end(),
-                     "sharded decode is missing a window");
-      stitcher.add_window(std::move(it->second.result),
-                          static_cast<std::size_t>(index) * window_samples);
-    }
-    out.decode = stitcher.finish();
+  core::WindowStitcher stitcher(config_.windowed, fs);
+  for (std::uint64_t index = 0; index < expected_windows; ++index) {
+    const auto it = results.find(index);
+    LFBS_CHECK_MSG(it != results.end(), "sharded decode is missing a window");
+    stitcher.add(static_cast<std::size_t>(index), it->second.short_capture,
+                 std::move(it->second.result));
   }
+  out.decode = stitcher.finish();
 
   stats.windows_decoded = results.size();
   stats.frames_published = runtime::publish_frames(

@@ -28,8 +28,8 @@ struct ShardConfig {
   /// Worker failover (default on): a link that dies mid-run, speaks
   /// garbage, or blows worker_deadline is closed and its outstanding
   /// windows are reassigned to surviving workers — the run completes
-  /// bit-identical to serial WindowedDecoder (window seeds are index-
-  /// mixed, so *which* worker decodes a window cannot change its bits).
+  /// with the same bits as a healthy pool (window seeds are index-mixed,
+  /// so *which* worker decodes a window cannot change its bits).
   /// The run still fails loudly when zero workers remain, and the initial
   /// pool connect stays strict either way (a pool that starts broken is a
   /// configuration error, not a fault to ride out). false restores the
@@ -68,27 +68,29 @@ struct ShardStats {
   std::size_t windows_reassigned = 0;
 };
 
-/// Cross-process sharded decode: the IqSharder half slices a sample source
-/// into WindowedDecoder windows — replicating the runtime assembler's
-/// lattice exactly (gap zero-fill, short-capture hold-back, quarter-window
-/// tail rule) — and round-robins each window to a pool of ShardWorker
-/// processes over LFBW1 (kShardAssign + f64 kIqChunks). The ShardMerger
-/// half collects kShardFrame results as workers finish, re-orders them,
-/// folds them through the same serial WindowStitcher the runtime uses, and
-/// publishes the stitched frames on this coordinator's FrameBus via the
-/// shared runtime::publish_frames helper.
+/// Cross-process sharded decode: the coordinator cuts a sample source into
+/// windows with core::WindowAssembler, the same lattice as the runtime and
+/// the serial decoder, and round-robins each window to a pool of
+/// ShardWorker processes over LFBW1 (kShardAssign + f64 kIqChunks). It
+/// collects kShardFrame results as workers finish, folds them through a
+/// WindowStitcher in window order, and publishes the stitched frames on
+/// this coordinator's FrameBus via the shared runtime::publish_frames
+/// helper.
 ///
 /// Bit-identity contract: because windows decode under index-mixed seeds,
-/// samples transit as f64 bit patterns, and the stitch is the same code in
-/// the same order, run() over N worker processes returns (and publishes) a
-/// DecodeResult bit-identical to core::WindowedDecoder::decode on the same
-/// capture — the tests enforce it across real processes.
+/// samples transit as f64 bit patterns, and the lattice and the stitch are
+/// the same code in the same order, run() over N worker processes returns
+/// (and publishes) a DecodeResult bit-identical to the runtime's, and to
+/// core::WindowedDecoder::decode whenever the stitched result holds a
+/// CRC-valid frame. When it holds none, only the serial decode re-decodes
+/// the whole capture with the fallback ladder. The tests enforce both
+/// halves across real processes.
 ///
 /// Failure stance: strict about *results*, resilient about *workers*. With
 /// ShardConfig::failover (the default) a worker that dies, stalls past
 /// worker_deadline, or speaks garbage mid-run is dropped and its
 /// outstanding windows are re-dispatched to the survivors; the completed
-/// run is still bit-identical to the serial decode, and ShardStats records
+/// run has the same bits as a healthy pool's, and ShardStats records
 /// workers_lost / windows_reassigned. Only zero surviving workers (or a
 /// pool that fails its initial connect — that is a configuration error)
 /// fails the run with SocketError. failover=false restores the strict

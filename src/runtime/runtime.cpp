@@ -20,17 +20,8 @@ namespace lfbs::runtime {
 
 namespace {
 
-/// One window's worth of samples, ready to decode. `short_capture` marks
-/// the whole-capture fallback job (capture ≤ 1.5 windows), which decodes
-/// with the plain decoder exactly like WindowedDecoder::decode.
-struct WindowJob {
-  std::size_t index = 0;
-  bool short_capture = false;
-  signal::SampleBuffer samples;
-};
-
 struct WindowOutcome {
-  bool short_capture = false;
+  bool whole_capture = false;
   core::DecodeResult result;
 };
 
@@ -103,7 +94,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
 
   BoundedRing<SampleChunk> ring(
       std::max<std::size_t>(1, config_.ring_capacity));
-  BoundedRing<WindowJob> jobs(std::max<std::size_t>(2 * num_workers, 4));
+  BoundedRing<core::Window> jobs(std::max<std::size_t>(2 * num_workers, 4));
   ReorderInbox inbox;
   LatencyRecorder latency;
   Supervisor supervisor(config_.supervision, num_workers);
@@ -118,106 +109,18 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Assembler: chunk stream → window-sized jobs. Holds early windows back
-  // until the capture is known to be longer than 1.5 windows, so a short
-  // capture takes the same whole-buffer plain-decoder path as the serial
-  // WindowedDecoder.
-  std::thread assembler([&] {
-    std::vector<Complex> window;
-    window.reserve(window_samples);
-    std::vector<WindowJob> held;
-    std::uint64_t next_expected = 0;
-    std::size_t next_window_index = 0;
-    bool known_long = false;
-
-    const auto dispatch = [&](WindowJob job) {
+  // Assembler: chunk stream → the decoder's window lattice.
+  std::thread assembler_thread([&] {
+    core::WindowAssembler assembler(decoder, fs, [&](core::Window window) {
       ++windows_dispatched;
-      jobs.push(std::move(job));
-    };
-    const auto close_full_window = [&] {
-      WindowJob job;
-      job.index = next_window_index++;
-      job.samples = signal::SampleBuffer(fs, std::move(window));
-      window = {};
-      window.reserve(window_samples);
-      if (known_long) {
-        dispatch(std::move(job));
-      } else {
-        held.push_back(std::move(job));
-      }
-    };
-    const auto append = [&](const Complex* data, std::size_t n) {
-      std::size_t done = 0;
-      while (done < n) {
-        const std::size_t take =
-            std::min(n - done, window_samples - window.size());
-        window.insert(window.end(), data + done, data + done + take);
-        done += take;
-        if (window.size() == window_samples) close_full_window();
-      }
-    };
-
+      jobs.push(std::move(window));
+    });
     while (auto chunk = ring.pop()) {
-      // A jump in first_sample is a chunk lost to ring overflow: zero-fill
-      // so the surviving samples keep their absolute window positions.
-      if (chunk->first_sample > next_expected) {
-        std::uint64_t gap = chunk->first_sample - next_expected;
-        samples_gap += gap;
-        const std::vector<Complex> zeros(
-            std::min<std::uint64_t>(gap, window_samples), Complex{});
-        while (gap > 0) {
-          const auto take = std::min<std::uint64_t>(gap, zeros.size());
-          append(zeros.data(), static_cast<std::size_t>(take));
-          gap -= take;
-        }
-        next_expected = chunk->first_sample;
-      }
-      // Skip any overlap (defensive; the bundled sources never rewind).
-      std::size_t skip = 0;
-      if (chunk->first_sample < next_expected) {
-        skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-            next_expected - chunk->first_sample, chunk->size()));
-      }
-      const std::size_t fresh = chunk->size() - skip;
-      append(chunk->samples.data() + skip, fresh);
-      samples_in += fresh;
-      next_expected += fresh;
-      if (!known_long &&
-          !decoder.is_short_capture(
-              static_cast<std::size_t>(next_expected), fs)) {
-        known_long = true;
-        for (auto& job : held) dispatch(std::move(job));
-        held.clear();
-      }
+      assembler.push(chunk->first_sample, chunk->samples);
     }
-
-    std::size_t expected = 0;
-    if (!known_long) {
-      // Short capture: reassemble everything and decode it in one piece
-      // with the plain decoder, exactly like the serial fall-through.
-      std::vector<Complex> all;
-      for (auto& job : held) {
-        const auto view = job.samples.span();
-        all.insert(all.end(), view.begin(), view.end());
-      }
-      all.insert(all.end(), window.begin(), window.end());
-      WindowJob job;
-      job.index = 0;
-      job.short_capture = true;
-      job.samples = signal::SampleBuffer(fs, std::move(all));
-      dispatch(std::move(job));
-      expected = 1;
-    } else {
-      // Serial parity: a tail shorter than a quarter window is ignored.
-      if (window.size() >= window_samples / 4) {
-        WindowJob job;
-        job.index = next_window_index++;
-        job.samples = signal::SampleBuffer(fs, std::move(window));
-        dispatch(std::move(job));
-      }
-      expected = next_window_index;
-    }
-    inbox.set_expected(expected);
+    inbox.set_expected(assembler.finish());
+    samples_in = assembler.samples_in();
+    samples_gap = assembler.samples_gap();
     jobs.close();
   });
 
@@ -234,7 +137,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
         window_span.attr("index", static_cast<double>(job->index));
         window_span.attr("worker", static_cast<double>(w));
         WindowOutcome outcome;
-        outcome.short_capture = job->short_capture;
+        outcome.whole_capture = job->whole_capture;
         // Exception containment: a throwing window decode yields an empty
         // (zero-filled) window result, exactly what a silent window would
         // produce — the stitcher carries surviving threads across it — and
@@ -244,11 +147,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
           if (supervisor.config().decode_fault_hook) {
             supervisor.config().decode_fault_hook(job->index);
           }
-          outcome.result =
-              job->short_capture
-                  ? core::LfDecoder(config_.windowed.decoder)
-                        .decode(job->samples)
-                  : decoder.decode_window(job->samples, job->index);
+          outcome.result = decoder.decode_window(*job);
         } catch (const std::exception&) {
           outcome.result = core::DecodeResult{};
           supervisor.record_worker_exception();
@@ -268,18 +167,10 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
   std::thread stitcher_thread([&] {
     core::WindowStitcher stitcher(config_.windowed, fs);
     std::size_t next = 0;
-    bool is_short = false;
     while (auto outcome = inbox.await(next)) {
-      if (outcome->short_capture) {
-        out.decode = std::move(outcome->result);
-        is_short = true;
-      } else {
-        stitcher.add_window(std::move(outcome->result),
-                            next * window_samples);
-      }
-      ++next;
+      stitcher.add(next++, outcome->whole_capture, std::move(outcome->result));
     }
-    if (!is_short) out.decode = stitcher.finish();
+    out.decode = stitcher.finish();
     const std::size_t published = publish_frames(
         bus_, out.decode, config_.epoch_index, window_samples);
     frames_published += published;
@@ -331,7 +222,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
   }
   ring.close();
 
-  assembler.join();
+  assembler_thread.join();
   for (auto& t : pool) t.join();
   stitcher_thread.join();
   supervisor.stop();

@@ -21,12 +21,15 @@ namespace lfbs::runtime {
 ///
 /// The source is drained on the caller's thread into a bounded chunk ring
 /// (blocking or drop-on-overflow per `drop_when_full`). The assembler
-/// thread slices the sample stream into WindowedDecoder windows and feeds
-/// a bounded job queue; `workers` threads decode windows independently
+/// thread cuts the sample stream with core::WindowAssembler and feeds a
+/// bounded job queue; `workers` threads decode windows independently
 /// (each window's decoder draws from its own Rng stream, keyed by window
 /// index); a single stitcher thread reorders results back into window
-/// order and runs the serial continuity-key stitch, so the output is
-/// bit-identical to core::WindowedDecoder::decode on the same samples.
+/// order and runs the serial continuity-key stitch. The output is
+/// bit-identical to core::WindowedDecoder::decode on the same samples
+/// whenever the stitched result holds a CRC-valid frame; when it holds
+/// none, the serial decode alone re-decodes the whole capture with the
+/// fallback ladder, and run() returns the stitch as it stands.
 /// Decoded frames fan out through the FrameBus (on the stitcher thread)
 /// before run() returns the stitched DecodeResult and a stats snapshot.
 ///
@@ -74,7 +77,7 @@ struct RuntimeConfig {
   /// instead of growing until eviction. Bounded by construction: a dead
   /// releasing side slows ingest, it can never deadlock the pipeline, and
   /// no chunk is ever dropped by the gate — fault-free runs stay
-  /// bit-identical to the serial decoder. The gate is only read here;
+  /// bit-identical to ungated ones. The gate is only read here;
   /// the caller owns it and must outlive run().
   BackpressureGate* backpressure = nullptr;
   Seconds backpressure_max_wait = 0.05;

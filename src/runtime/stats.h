@@ -12,8 +12,8 @@ namespace lfbs::runtime {
 /// applied to the software pipeline itself. Strictly ordered: health only
 /// ever escalates within a run.
 ///
-///   kHealthy:  no fault observed; output is bit-identical to the serial
-///              WindowedDecoder path.
+///   kHealthy:  no fault observed; output matches the serial
+///              WindowedDecoder path as runtime.h states.
 ///   kDegraded: faults occurred but were contained — retried reads, zero-
 ///              filled windows, scrubbed samples, dropped chunks, isolated
 ///              subscriber exceptions. The run completed and decoded what

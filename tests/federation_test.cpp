@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "channel/channel_model.h"
+#include "channel/noise.h"
 #include "core/windowed_decoder.h"
 #include "net/federation/relay.h"
 #include "net/federation/shard.h"
@@ -25,6 +26,7 @@
 #include "protocol/frame.h"
 #include "reader/receiver.h"
 #include "runtime/frame_bus.h"
+#include "runtime/runtime.h"
 #include "runtime/sample_source.h"
 #include "tag/tag.h"
 
@@ -557,6 +559,138 @@ TEST(ShardedDecode, ShortCaptureTakesThePlainPathBitIdentically) {
 
   expect_results_identical(local, result.decode);
   EXPECT_EQ(result.stats.windows_assigned, 1u);
+}
+
+/// A source with a hole in the middle, as ring overflow leaves on a live
+/// capture (the runtime tests' GappySource).
+class GappySource : public runtime::SampleSource {
+ public:
+  GappySource(const signal::SampleBuffer& buffer, std::size_t gap_begin,
+              std::size_t gap_end, std::size_t chunk_samples)
+      : buffer_(buffer),
+        gap_begin_(gap_begin),
+        gap_end_(gap_end),
+        chunk_samples_(chunk_samples) {}
+
+  SampleRate sample_rate() const override { return buffer_.sample_rate(); }
+
+  std::optional<runtime::SampleChunk> next_chunk() override {
+    if (position_ == gap_begin_) position_ = gap_end_;
+    if (position_ >= buffer_.size()) return std::nullopt;
+    const std::size_t end =
+        std::min({buffer_.size(), position_ + chunk_samples_,
+                  position_ < gap_begin_ ? gap_begin_ : buffer_.size()});
+    runtime::SampleChunk chunk;
+    chunk.first_sample = position_;
+    const auto view = buffer_.slice(position_, end);
+    chunk.samples.assign(view.begin(), view.end());
+    position_ = end;
+    return chunk;
+  }
+
+ private:
+  const signal::SampleBuffer& buffer_;
+  std::size_t gap_begin_;
+  std::size_t gap_end_;
+  std::size_t chunk_samples_;
+  std::size_t position_ = 0;
+};
+
+/// Runs `source` through a two-worker shard pool of in-process workers.
+ShardedDecoder::Result shard_decode(const core::WindowedDecoderConfig& wc,
+                                    runtime::SampleSource& source) {
+  ShardWorker worker_1({"127.0.0.1", 0, "worker-1"});
+  ShardWorker worker_2({"127.0.0.1", 0, "worker-2"});
+  std::thread t1([&] { worker_1.serve(); });
+  std::thread t2([&] { worker_2.serve(); });
+  ShardConfig sc;
+  sc.windowed = wc;
+  sc.workers = {{"127.0.0.1", worker_1.port()},
+                {"127.0.0.1", worker_2.port()}};
+  ShardedDecoder sharded(sc);
+  ShardedDecoder::Result result = sharded.run(source);
+  t1.join();
+  t2.join();
+  return result;
+}
+
+TEST(ShardedDecode, ZeroFillsDroppedChunkGaps) {
+  // The gap spans the boundary between windows 0 and 1 (100 000 samples).
+  const LongCapture cap = make_capture(2, 60e-3, 47);
+  const std::size_t gap_begin = 90000;
+  const std::size_t gap_end = 130000;
+  signal::SampleBuffer silenced = cap.buffer;
+  for (std::size_t i = gap_begin; i < gap_end; ++i) silenced[i] = Complex{};
+  const core::WindowedDecoderConfig wc;
+  const core::DecodeResult serial = core::WindowedDecoder(wc).decode(silenced);
+  ASSERT_FALSE(serial.valid_payloads().empty());
+
+  GappySource source(cap.buffer, gap_begin, gap_end, 8192);
+  const ShardedDecoder::Result result = shard_decode(wc, source);
+  expect_results_identical(serial, result.decode);
+  EXPECT_EQ(result.stats.samples_in,
+            cap.buffer.size() - (gap_end - gap_begin));
+}
+
+/// One tag streaming `frames` frames at `snr_db`, built like the
+/// robustness tests' fallback-ladder capture.
+signal::SampleBuffer low_snr_capture(std::uint64_t seed, double snr_db,
+                                     int frames) {
+  Rng rng(seed);
+  const Complex h{0.08, 0.06};
+  reader::ReceiverConfig rc;
+  rc.sample_rate = 5.0 * kMsps;
+  rc.noise_power = channel::noise_power_for_snr(std::norm(h), snr_db);
+  channel::ChannelModel ch;
+  ch.add_tag(h);
+  reader::Receiver receiver(rc, ch);
+  protocol::FrameConfig fc;
+  std::vector<std::vector<bool>> bits;
+  for (int f = 0; f < frames; ++f) {
+    bits.push_back(protocol::build_frame(rng.bits(fc.payload_bits), fc));
+  }
+  tag::TagConfig tc;
+  tag::Tag tag(tc, rng);
+  const Seconds duration = frames * 113.0 / tc.rate + 1e-3;
+  const std::vector<signal::StateTimeline> timelines{
+      tag.transmit_epoch(bits, duration, rng).timeline};
+  return receiver.receive_epoch(timelines, duration, rng);
+}
+
+TEST(WindowPipeline, StreamingPathsMatchSerialUnlessOnlyTheRescueFindsFrames) {
+  // The serial, runtime and shard paths share the window lattice, the
+  // per-window decode and the stitch. When the stitched result holds a
+  // CRC-valid frame, all three are identical.
+  const core::WindowedDecoderConfig wc;
+  const LongCapture clean = make_capture(3, 70e-3, 7);
+  const core::DecodeResult serial = core::WindowedDecoder(wc).decode(clean.buffer);
+  ASSERT_FALSE(serial.valid_payloads().empty());
+  runtime::RuntimeConfig rc;
+  rc.windowed = wc;
+  rc.workers = 2;
+  expect_results_identical(
+      serial, runtime::DecodeRuntime(rc).decode(clean.buffer).decode);
+  runtime::MemorySource clean_source(clean.buffer, 8192);
+  expect_results_identical(serial, shard_decode(wc, clean_source).decode);
+
+  // When it holds none, only the serial path re-decodes the whole capture
+  // with the fallback ladder. The streaming paths return the stitch as it
+  // stands: the serial decode with that rescue switched off.
+  const signal::SampleBuffer weak = low_snr_capture(77, 7.0, 40);
+  const core::DecodeResult rescued = core::WindowedDecoder(wc).decode(weak);
+  EXPECT_FALSE(rescued.valid_payloads().empty());
+  EXPECT_GT(rescued.diagnostics.fallback_passes, 0u);
+  core::WindowedDecoderConfig no_rescue = wc;
+  no_rescue.decoder.robustness.fallback = false;
+  const core::DecodeResult stitched =
+      core::WindowedDecoder(no_rescue).decode(weak);
+  EXPECT_TRUE(stitched.valid_payloads().empty());
+  const core::DecodeResult streamed =
+      runtime::DecodeRuntime(rc).decode(weak).decode;
+  EXPECT_TRUE(streamed.valid_payloads().empty());
+  expect_results_identical(stitched, streamed);
+  runtime::MemorySource weak_source(weak, 8192);
+  expect_results_identical(stitched, shard_decode(wc, weak_source).decode);
 }
 
 TEST(ShardedDecode, DeadWorkerPoolFailsStrictly) {
