@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "reader/session.h"
 
 namespace lfbs::control {
 
@@ -214,25 +213,6 @@ void ControlLoop::publish(const EpochPlan& plan,
     }
     log->emit("control", fields);
   }
-}
-
-ControlLoop::Applier session_applier(reader::ReaderSession& session) {
-  return [&session](const EpochPlan& plan) {
-    BitRate want = 0.0;
-    for (const TagAssignment& a : plan.assignments) {
-      want = std::max(want, a.rate);
-    }
-    if (want <= 0.0) return;
-    const BitRate current = session.current_max_rate();
-    if (want > current * (1 + 1e-9)) {
-      // The plan asking for more rate is the control plane's "healthy
-      // epoch" signal; the controller's hysteresis decides when the step
-      // actually happens.
-      session.controller().step_up(true);
-    } else if (want < current * (1 - 1e-9)) {
-      session.controller().step_down();
-    }
-  };
 }
 
 }  // namespace lfbs::control

@@ -13,10 +13,6 @@
 #include "net/wire.h"
 #include "protocol/epoch.h"
 
-namespace lfbs::reader {
-class ReaderSession;
-}
-
 namespace lfbs::control {
 
 struct ControlLoopConfig {
@@ -91,7 +87,6 @@ class ControlLoop {
   net::ControlPlanMsg apply_control_set(const net::ControlSet& set);
 
  private:
-  EpochPlan step_locked_phase(std::uint64_t epoch, Seconds duration);
   void publish(const EpochPlan& plan, const FleetSnapshot& snapshot,
                bool applied);
 
@@ -111,12 +106,5 @@ class ControlLoop {
   std::condition_variable wake_;
   bool running_ = false;
 };
-
-/// Builds an applier that steers a ReaderSession's broadcast rate
-/// controller toward the plan's fastest assigned rate through the
-/// existing hooks, one notch per epoch: step_up() (hysteresis-gated)
-/// when the plan wants more than the session currently commands,
-/// step_down() when it wants less. The session must outlive the applier.
-ControlLoop::Applier session_applier(reader::ReaderSession& session);
 
 }  // namespace lfbs::control

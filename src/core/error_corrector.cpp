@@ -17,6 +17,13 @@ constexpr std::size_t kFalling = 1;   // ↓
 constexpr std::size_t kHoldHigh = 2;  // −₊ (no edge, level 1)
 constexpr std::size_t kHoldLow = 3;   // −₋ (no edge, level 0)
 
+// Boundaries whose edge confidence falls below this become erasures.
+constexpr double kErasureThreshold = 0.25;
+// Erasure emission: the per-state Gaussian with its sigmas inflated by this
+// factor — wide enough that transitions and priors dominate, but the
+// observation still breaks exact ties deterministically.
+constexpr double kErasureSigmaScale = 8.0;
+
 /// Fits a 2-D Gaussian to the points of one cluster; degenerate clusters
 /// fall back to an isotropic Gaussian around the centroid with a spread
 /// proportional to `scale`.
@@ -48,7 +55,7 @@ std::vector<bool> ErrorCorrector::correct(
 
 ErrorCorrector::SoftResult ErrorCorrector::correct_soft(
     std::span<const Complex> points, const ThreeClusterLabels& labels,
-    std::span<const double> confidences, const SoftConfig& soft) const {
+    std::span<const double> confidences) const {
   LFBS_CHECK(points.size() == labels.states.size());
   LFBS_CHECK(confidences.empty() || confidences.size() == points.size());
   std::vector<Complex> rising_pts, falling_pts, constant_pts;
@@ -66,14 +73,7 @@ ErrorCorrector::SoftResult ErrorCorrector::correct_soft(
     }
   }
   return run(points, labels.rising, labels.falling, labels.constant,
-             rising_pts, falling_pts, constant_pts, confidences, soft);
-}
-
-std::vector<bool> ErrorCorrector::correct_component(
-    std::span<const Complex> points, Complex edge_vector) const {
-  return run(points, edge_vector, -edge_vector, Complex{}, {}, {}, {}, {},
-             SoftConfig())
-      .bits;
+             rising_pts, falling_pts, constant_pts, confidences);
 }
 
 ErrorCorrector::JointResult ErrorCorrector::correct_joint(
@@ -235,7 +235,7 @@ ErrorCorrector::SoftResult ErrorCorrector::run(
     Complex constant, std::span<const Complex> rising_pts,
     std::span<const Complex> falling_pts,
     std::span<const Complex> constant_pts,
-    std::span<const double> confidences, const SoftConfig& soft) const {
+    std::span<const double> confidences) const {
   LFBS_CHECK(!points.empty());
   const double scale = std::max(std::abs(rising), std::abs(falling));
 
@@ -250,8 +250,8 @@ ErrorCorrector::SoftResult ErrorCorrector::run(
   // distrusted observation barely discriminates between states and the
   // transition structure decides.
   const auto widen = [&](dsp::Gaussian2D g) {
-    g.sigma_i *= soft.erasure_sigma_scale;
-    g.sigma_q *= soft.erasure_sigma_scale;
+    g.sigma_i *= kErasureSigmaScale;
+    g.sigma_q *= kErasureSigmaScale;
     g.rho = 0.0;
     return g;
   };
@@ -263,7 +263,7 @@ ErrorCorrector::SoftResult ErrorCorrector::run(
   std::vector<bool> erased(points.size(), false);
   if (!confidences.empty()) {
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (confidences[i] < soft.erasure_threshold) {
+      if (confidences[i] < kErasureThreshold) {
         erased[i] = true;
         ++out.erasures;
       }

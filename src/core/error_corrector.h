@@ -8,17 +8,6 @@
 
 namespace lfbs::core {
 
-/// Soft-decision controls for ErrorCorrector::correct_soft. (Free struct so
-/// it is complete where member default arguments need it.)
-struct SoftDecisionConfig {
-  /// Boundaries whose edge confidence falls below this become erasures.
-  double erasure_threshold = 0.25;
-  /// Erasure emission: the per-state Gaussian with its sigmas inflated by
-  /// this factor — wide enough that transitions and priors dominate, but
-  /// the observation still breaks exact ties deterministically.
-  double erasure_sigma_scale = 8.0;
-};
-
 /// Soft output of an erasure-aware correction pass.
 struct SoftDecisionResult {
   std::vector<bool> bits;
@@ -65,7 +54,6 @@ class ErrorCorrector {
   std::vector<bool> correct(std::span<const Complex> points,
                             const ThreeClusterLabels& labels) const;
 
-  using SoftConfig = SoftDecisionConfig;
   using SoftResult = SoftDecisionResult;
 
   /// Erasure-aware variant of correct(): boundaries whose confidence (from
@@ -76,14 +64,7 @@ class ErrorCorrector {
   /// identical to correct().
   SoftResult correct_soft(std::span<const Complex> points,
                           const ThreeClusterLabels& labels,
-                          std::span<const double> confidences,
-                          const SoftConfig& soft = SoftConfig()) const;
-
-  /// Corrects a separated collision component. `points` are the component's
-  /// boundary differentials with the *other* component's assigned
-  /// contribution subtracted; `edge_vector` is the component's ±e.
-  std::vector<bool> correct_component(std::span<const Complex> points,
-                                      Complex edge_vector) const;
+                          std::span<const double> confidences) const;
 
   /// Joint decode of a two-tag collision: a 4-state Viterbi over the level
   /// pair (l1, l2) whose transition from (l1,l2) to (l1',l2') emits
@@ -125,8 +106,7 @@ class ErrorCorrector {
                  std::span<const Complex> rising_pts,
                  std::span<const Complex> falling_pts,
                  std::span<const Complex> constant_pts,
-                 std::span<const double> confidences,
-                 const SoftConfig& soft) const;
+                 std::span<const double> confidences) const;
 
   Config config_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
 #include "common/check.h"
@@ -18,6 +17,9 @@ namespace {
 
 /// Sentinel for "no measured edge at this slot" in BoundarySlots::snrs.
 constexpr double kNoEdgeSnr = -1e9;
+
+/// The relaxed-detection fallback rungs never drop threshold_sigma below this.
+constexpr double kRelaxedFloorSigma = 2.5;
 
 /// Boundary slots of one group: mid positions, the span of the group's own
 /// measured edges, and the extracted IQ differential per boundary.
@@ -111,6 +113,14 @@ void trim_trailing_zeros(std::vector<bool>& bits, std::size_t frame_bits) {
   }
 }
 
+std::size_t stream_valid_frames(const DecodedStream& s) {
+  std::size_t n = 0;
+  for (const auto& f : s.frames) {
+    if (f.valid()) ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
 std::vector<std::vector<bool>> DecodeResult::valid_payloads() const {
@@ -202,10 +212,7 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
   const StreamDetector stream_detector(sc);
   const std::vector<StreamGroup> groups = stream_detector.detect(edges);
   result.diagnostics.groups = groups.size();
-  if (cfg.trace) {
-    std::fprintf(stderr, "[lfbs] edges=%zu groups=%zu spb=%.1f\n",
-                 edges.size(), groups.size(), spb);
-  }
+  span.attr("groups", static_cast<double>(groups.size()));
 
   const CollisionDetector collision_detector(cfg.collision);
   const CollisionSeparator separator(cfg.separator);
@@ -346,11 +353,8 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
       ps.cluster_separation =
           std::sqrt(min_dist2 / std::max(residual2, 1e-18));
       if (cfg.error_correction) {
-        const ErrorCorrector::SoftResult soft = corrector.correct_soft(
-            diffs, labels,
-            cfg.robustness.enabled ? std::span<const double>(slots.confidences)
-                                   : std::span<const double>{},
-            cfg.robustness.soft);
+        const ErrorCorrector::SoftResult soft =
+            corrector.correct_soft(diffs, labels, slots.confidences);
         ps.bits = soft.bits;
         ps.erasures = soft.erasures;
         double margin_sum = 0.0;
@@ -451,10 +455,6 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
       assess = collision_detector.assess(slots.diffs, rng);
     } else {
       assess.colliders = 1;
-    }
-    if (cfg.trace) {
-      std::fprintf(stderr, "[lfbs]   group@%.1f: %zu boundaries colliders=%zu\n",
-                   group.intercept, slots.diffs.size(), assess.colliders);
     }
 
     if (assess.colliders == 1) {
@@ -677,13 +677,11 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
     stream.collided = ps.collided;
     stream.edge_vector = ps.edge_vector;
     stream.snr_db = ps.snr_db;
-    if (cfg.robustness.enabled) {
-      stream.confidence.edge_snr_db = ps.edge_snr_db;
-      stream.confidence.edge_confidence = ps.edge_confidence;
-      stream.confidence.path_margin = ps.path_margin;
-      stream.confidence.cluster_separation = ps.cluster_separation;
-      stream.confidence.erasures = ps.erasures;
-    }
+    stream.confidence.edge_snr_db = ps.edge_snr_db;
+    stream.confidence.edge_confidence = ps.edge_confidence;
+    stream.confidence.path_margin = ps.path_margin;
+    stream.confidence.cluster_separation = ps.cluster_separation;
+    stream.confidence.erasures = ps.erasures;
     stream.bits = ps.bits;
     trim_trailing_zeros(stream.bits, cfg.frame.frame_bits());
     stream.frames = protocol::parse_stream(stream.bits, cfg.frame);
@@ -700,14 +698,6 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
     }
     return stream;
   };
-  const auto valid_frames = [](const DecodedStream& s) {
-    std::size_t n = 0;
-    for (const auto& f : s.frames) {
-      if (f.valid()) ++n;
-    }
-    return n;
-  };
-
   std::vector<DecodedStream> streams;
   streams.reserve(pending.size());
   for (const PendingStream& ps : pending) streams.push_back(finalize(ps));
@@ -764,7 +754,9 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
       for (std::size_t si = 0; si < streams.size(); ++si) {
         if (pending[si].collided) continue;  // jointly decoded already
         if (streams[si].frames.empty()) continue;
-        if (valid_frames(streams[si]) == streams[si].frames.size()) continue;
+        if (stream_valid_frames(streams[si]) == streams[si].frames.size()) {
+          continue;
+        }
         const PendingStream& ps = pending[si];
         const BoundarySlots& slots = all_slots[ps.slots_ref];
         std::vector<Complex> corrected(slots.diffs.begin(), slots.diffs.end());
@@ -787,7 +779,7 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
             static_cast<std::int64_t>(
                 std::llround(cfg.max_rate / ps.rate)),
             corrected, krng));
-        if (valid_frames(redone) > valid_frames(streams[si])) {
+        if (stream_valid_frames(redone) > stream_valid_frames(streams[si])) {
           streams[si] = std::move(redone);
           any_repaired = true;
         }
@@ -804,14 +796,6 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
 }
 
 namespace {
-
-std::size_t stream_valid_frames(const DecodedStream& s) {
-  std::size_t n = 0;
-  for (const auto& f : s.frames) {
-    if (f.valid()) ++n;
-  }
-  return n;
-}
 
 std::size_t total_valid_frames(const DecodeResult& r) {
   std::size_t n = 0;
@@ -833,9 +817,7 @@ bool needs_fallback(const DecodeResult& r) {
 
 DecodeResult LfDecoder::decode(const signal::SampleBuffer& buffer) const {
   DecodeResult result = decode_pass(buffer, config_);
-  if (!config_.robustness.enabled || !config_.robustness.fallback) {
-    return result;
-  }
+  if (!config_.robustness.fallback) return result;
   if (buffer.empty() || !needs_fallback(result)) return result;
 
   // The Fig 9 degradation ladder, cheapest first. Later rungs deliberately
@@ -871,7 +853,7 @@ DecodeResult LfDecoder::decode(const signal::SampleBuffer& buffer) const {
     // runs on whatever appears, and the CRC arbitrates.
     DecoderConfig c = config_;
     c.edge.adaptive_threshold = true;
-    c.edge.threshold_sigma = std::max(config_.robustness.relaxed_floor_sigma,
+    c.edge.threshold_sigma = std::max(kRelaxedFloorSigma,
                                       config_.edge.threshold_sigma * scale);
     ladder.push_back({FallbackStage::kRelaxedDetection, std::move(c)});
   }

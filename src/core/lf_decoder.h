@@ -16,23 +16,17 @@
 
 namespace lfbs::core {
 
-/// Soft-decision / degraded-mode controls (PR 3 tentpole).
+/// Degraded-mode control. Per-stream DecodeConfidence and the erasure-aware
+/// error-correction stage are always on; they do not change the decoded
+/// bits of a primary pass: edges that cleared the detection threshold always
+/// sit above the erasure cutoff, so erasures only fire in degraded
+/// re-decodes.
 struct RobustnessConfig {
-  /// Compute per-stream DecodeConfidence and run the error-correction stage
-  /// erasure-aware. Does not change the decoded bits of a primary pass:
-  /// edges that cleared the detection threshold always sit above the
-  /// erasure cutoff, so erasures only fire in degraded re-decodes.
-  bool enabled = true;
   /// On CRC failure (or an empty decode), re-decode down the Fig 9 chain —
   /// perturbed k-means seeds → Edge+IQ → Edge → relaxed/adaptive detection —
   /// keeping, per stream, the best CRC-clean result. Never discards a
   /// primary stream; CRC gating prevents fabrication.
   bool fallback = true;
-  /// Erasure demotion threshold and wide-Gaussian scale for the soft
-  /// Viterbi pass.
-  ErrorCorrector::SoftConfig soft{};
-  /// The relaxed-detection rungs never drop threshold_sigma below this.
-  double relaxed_floor_sigma = 2.5;
 };
 
 /// Configuration of the full LF-Backscatter reader-side decoder.
@@ -76,11 +70,8 @@ struct DecoderConfig {
   /// perturbed seeds derive from this one.
   std::uint64_t seed = 0x1f5eedULL;
 
-  /// Soft-decision confidence + degraded-mode fallback (see above).
+  /// Degraded-mode fallback (see above).
   RobustnessConfig robustness{};
-
-  /// Dump per-stage diagnostics to stderr (development aid).
-  bool trace = false;
 };
 
 /// One decoded tag stream.
@@ -100,7 +91,6 @@ struct DecodedStream {
   double snr_db = 0.0;
   /// Soft-decision summary: edge SNR/confidence, Viterbi margins, cluster
   /// separation, erasures, and which fallback rung produced this stream.
-  /// Only meaningful when DecoderConfig::robustness.enabled.
   DecodeConfidence confidence{};
 };
 

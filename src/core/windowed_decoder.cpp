@@ -330,8 +330,7 @@ DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
   // produced nothing at all does a single-pass decode with the ladder get
   // a shot at the full buffer (the per-window ladder is disabled, see
   // decode_window).
-  if (config_.decoder.robustness.enabled &&
-      config_.decoder.robustness.fallback) {
+  if (config_.decoder.robustness.fallback) {
     std::size_t valid = 0;
     for (const auto& s : result.streams) {
       for (const auto& f : s.frames) valid += f.valid();

@@ -78,10 +78,10 @@ void FrameRelay::start() {
     cc.port = upstream.port;
     cc.name = config_.name;
     cc.filter = config_.filter;
-    cc.filter.replay_recent = config_.replay_on_reconnect;
+    cc.filter.replay_recent = true;  // heal partitions from the replay ring
     cc.connect_timeout = config_.connect_timeout;
     cc.reconnect_on_evict = true;  // relay links heal themselves
-    cc.reconnect_on_protocol_error = config_.reconnect_on_protocol_error;
+    cc.reconnect_on_protocol_error = true;
     cc.relay_hello = {config_.gateway_id, config_.hop_limit, config_.name};
     // Federation links are infrastructure: an overloaded upstream sheds
     // best-effort tailers and backpressures its decoder before it drops a

@@ -52,20 +52,11 @@ struct RelayConfig {
   std::uint8_t hop_limit = 4;
   std::string name = "lfbs-relay";
   std::vector<RelayUpstream> upstreams;
-  /// Filter sent to every upstream subscription.
+  /// Filter sent to every upstream subscription; the relay always sets its
+  /// replay_recent (see FrameRelay).
   SubscribeFilter filter;
   std::size_t dedup_capacity = 4096;
   Seconds connect_timeout = 5.0;
-  /// Partition recovery: set replay_recent on every upstream subscription,
-  /// so a (re)connecting link asks for the upstream's recent-frame ring
-  /// (FrameServerConfig::replay_frames) and heals frames missed while the
-  /// link was down. The relay's deduper suppresses the overlap — a healed
-  /// partition costs duplicate transfers, never duplicate deliveries.
-  bool replay_on_reconnect = true;
-  /// Ride out wire corruption on an upstream link by dropping and
-  /// redialing it (FrameClientConfig::reconnect_on_protocol_error) instead
-  /// of abandoning the upstream. Relay links are infrastructure.
-  bool reconnect_on_protocol_error = true;
 };
 
 /// Relay mode: subscribes to one or more upstream gateways and republishes
@@ -83,8 +74,16 @@ struct RelayConfig {
 /// origin untouched, so every subscriber anywhere in the mesh sees each
 /// frame exactly once (per dedup window).
 ///
-/// Each upstream gets its own FrameClient thread with the reconnect-on-
-/// evict policy: a relay link is infrastructure and should heal itself.
+/// Each upstream gets its own FrameClient thread, and a relay link is
+/// infrastructure that heals itself:
+///   - it redials after an eviction, and after wire corruption
+///     (FrameClientConfig::reconnect_on_protocol_error) instead of
+///     abandoning the upstream;
+///   - every subscription sets replay_recent, so a (re)connecting link asks
+///     for the upstream's recent-frame ring (FrameServerConfig::
+///     replay_frames) and heals frames missed while it was down. The
+///     deduper suppresses the overlap: a healed partition costs duplicate
+///     transfers, never duplicate deliveries.
 class FrameRelay {
  public:
   struct Counters {

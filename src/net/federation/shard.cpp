@@ -73,7 +73,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   runtime::LatencyRecorder latency;
 
   // --- pool connect + handshake ------------------------------------------
-  // Deliberately strict even in failover mode: a pool that starts broken
+  // Deliberately strict, unlike the run itself: a pool that starts broken
   // is a configuration error, not a runtime fault to ride out.
   std::vector<std::unique_ptr<WorkerLink>> links;
   links.reserve(config_.workers.size());
@@ -87,18 +87,8 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
     hello.sample_rate = fs;
     hello.name = config_.name;
     encode_hello(hello, hello_bytes);
-    std::size_t sent = 0;
-    while (sent < hello_bytes.size()) {
-      const std::ptrdiff_t n = link->conn.write_some(
-          hello_bytes.data() + sent, hello_bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-      } else if (n == -1) {
-        std::vector<PollItem> items{{link->conn.fd(), false, true}};
-        poll_fds(items, 100);
-      } else {
-        throw SocketError("shard worker closed during handshake");
-      }
+    if (!write_all(link->conn, hello_bytes)) {
+      throw SocketError("shard worker closed during handshake");
     }
     links.push_back(std::move(link));
   }
@@ -110,7 +100,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   std::map<std::uint64_t, core::Window> pending;
   std::deque<std::uint64_t> reassign_queue;
 
-  // Budget accounting (failover mode): every retained window's sample
+  // Budget accounting: every retained window's sample
   // bytes are charged against the shared pool while the window is in
   // flight and released when its result lands. The guard squares the
   // books on every exit path — including the throws below — so a failed
@@ -128,11 +118,10 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
         budget->release(w.samples.size() * sizeof(Complex));
       }
     }
-  } budget_guard{config_.failover ? config_.budget : nullptr, pending};
+  } budget_guard{config_.budget, pending};
 
   // Declares a link dead: close it, harvest its outstanding windows into
-  // the reassign queue, count the loss. Never called in strict mode — the
-  // call sites throw instead.
+  // the reassign queue, count the loss.
   const auto fail_link = [&](WorkerLink& link, const char* reason) {
     if (link.dead) return;
     link.dead = true;
@@ -167,12 +156,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       const std::ptrdiff_t n = link.conn.read_some(buf, sizeof(buf));
       if (n == -1) return;  // nothing pending
       if (n == 0) {
-        if (!link.got_bye) {
-          if (!config_.failover) {
-            throw SocketError("shard worker died mid-run");
-          }
-          fail_link(link, "died");
-        }
+        if (!link.got_bye) fail_link(link, "died");
         return;
       }
       try {
@@ -210,10 +194,6 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
               const Bye bye = decode_bye(message->body);
               link.got_bye = true;
               if (bye.reason != ByeReason::kEndOfStream) {
-                if (!config_.failover) {
-                  throw SocketError("shard worker closed: " +
-                                    std::string(to_string(bye.reason)));
-                }
                 fail_link(link, "refused");
                 return;
               }
@@ -227,18 +207,16 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       } catch (const WireFormatError&) {
         // A worker speaking garbage is as lost as a dead one: its results
         // cannot be trusted past this point.
-        if (!config_.failover) throw;
         fail_link(link, "garbage");
         return;
       }
     }
   };
 
-  // Deadline sweep (failover mode): a link whose oldest in-flight window
+  // Deadline sweep: a link whose oldest in-flight window
   // (or pending Bye) is older than worker_deadline is wedged — fail it so
   // its work moves to the survivors instead of stalling the run.
   const auto check_deadlines = [&] {
-    if (!config_.failover) return;
     const auto now = Clock::now();
     const auto deadline =
         std::chrono::duration<double>(config_.worker_deadline);
@@ -261,9 +239,8 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
   };
 
   // Fully writes `bytes` to a worker, draining every link's reads while
-  // the send buffer is full. False when the link died under the write
-  // (failover mode; its outstanding windows are already queued for
-  // reassignment).
+  // the send buffer is full. False when the link died under the write (its
+  // outstanding windows are already queued for reassignment).
   const auto send_all = [&](WorkerLink& link,
                             const std::vector<std::uint8_t>& bytes) -> bool {
     std::size_t sent = 0;
@@ -276,9 +253,6 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
         continue;
       }
       if (n == 0) {
-        if (!config_.failover) {
-          throw SocketError("shard worker died mid-send");
-        }
         fail_link(link, "died mid-send");
         return false;
       }
@@ -380,39 +354,34 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       throw SocketError("shard failover: no workers left to assign window " +
                         std::to_string(window_index));
     }
-    if (config_.failover) {
-      const std::size_t bytes = pending_bytes(window);
-      if (config_.budget != nullptr && bytes > 0) {
-        // Bounded saturation throttle: while the shared pool is full,
-        // drain results (a landing result frees its window's bytes)
-        // instead of growing the overshoot. Past the deadline charge
-        // unconditionally — dispatch must make progress even when the
-        // gateway's subscribers hold the pool at its limit, and the
-        // overshoot is bounded by one window.
-        bool charged = config_.budget->try_charge(bytes);
-        if (!charged) {
-          budget_throttles_counter.add();
-          const auto throttle_deadline =
-              Clock::now() + std::chrono::seconds(2);
-          while (!charged && Clock::now() < throttle_deadline) {
-            std::vector<PollItem> items;
-            for (const auto& l : links) {
-              if (!l->dead) items.push_back({l->conn.fd(), true, false});
-            }
-            if (items.empty()) break;
-            poll_fds(items, 50);
-            for (auto& l : links) drain_incoming(*l);
-            check_deadlines();
-            charged = config_.budget->try_charge(bytes);
+    const std::size_t bytes = pending_bytes(window);
+    if (config_.budget != nullptr && bytes > 0) {
+      // Bounded saturation throttle: while the shared pool is full,
+      // drain results (a landing result frees its window's bytes)
+      // instead of growing the overshoot. Past the deadline charge
+      // unconditionally — dispatch must make progress even when the
+      // gateway's subscribers hold the pool at its limit, and the
+      // overshoot is bounded by one window.
+      bool charged = config_.budget->try_charge(bytes);
+      if (!charged) {
+        budget_throttles_counter.add();
+        const auto throttle_deadline = Clock::now() + std::chrono::seconds(2);
+        while (!charged && Clock::now() < throttle_deadline) {
+          std::vector<PollItem> items;
+          for (const auto& l : links) {
+            if (!l->dead) items.push_back({l->conn.fd(), true, false});
           }
-          if (!charged) config_.budget->charge(bytes);
+          if (items.empty()) break;
+          poll_fds(items, 50);
+          for (auto& l : links) drain_incoming(*l);
+          check_deadlines();
+          charged = config_.budget->try_charge(bytes);
         }
+        if (!charged) config_.budget->charge(bytes);
       }
-      const auto it = pending.emplace(window_index, std::move(window)).first;
-      transmit(*link, it->second);
-    } else {
-      transmit(*link, window);
     }
+    const auto it = pending.emplace(window_index, std::move(window)).first;
+    transmit(*link, it->second);
     pump_reassign();
   };
 

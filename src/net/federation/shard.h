@@ -25,24 +25,14 @@ struct ShardConfig {
   Seconds connect_timeout = 5.0;
   /// Epoch stamped on published frames, like RuntimeConfig::epoch_index.
   std::uint64_t epoch_index = 0;
-  /// Worker failover (default on): a link that dies mid-run, speaks
-  /// garbage, or blows worker_deadline is closed and its outstanding
-  /// windows are reassigned to surviving workers — the run completes
-  /// with the same bits as a healthy pool (window seeds are index-mixed,
-  /// so *which* worker decodes a window cannot change its bits).
-  /// The run still fails loudly when zero workers remain, and the initial
-  /// pool connect stays strict either way (a pool that starts broken is a
-  /// configuration error, not a fault to ride out). false restores the
-  /// pre-failover stance: any mid-run death throws SocketError.
-  bool failover = true;
   /// Per-link stall deadline: a worker whose *oldest* outstanding window
-  /// has been in flight this long is declared dead (failover mode only).
-  /// Also bounds the post-run wait for a worker's Bye. Generous default —
+  /// has been in flight this long is declared dead and fails over (see
+  /// ShardedDecoder). Also bounds the post-run wait for a worker's Bye. Generous default —
   /// a window decode is milliseconds; 30 s means genuinely wedged.
   Seconds worker_deadline = 30.0;
   /// Optional overload budget, usually the same pool the gateway's
-  /// FrameServer charges its send queues against. In failover mode every
-  /// retained in-flight window's sample bytes are charged while the
+  /// FrameServer charges its send queues against. Every retained
+  /// in-flight window's sample bytes are charged while the
   /// window is outstanding and released when its result lands (or the run
   /// ends), so a gateway coordinating shards sees its true memory
   /// footprint in one number. While the pool is saturated, dispatch
@@ -86,15 +76,15 @@ struct ShardStats {
 /// the whole capture with the fallback ladder. The tests enforce both
 /// halves across real processes.
 ///
-/// Failure stance: strict about *results*, resilient about *workers*. With
-/// ShardConfig::failover (the default) a worker that dies, stalls past
-/// worker_deadline, or speaks garbage mid-run is dropped and its
-/// outstanding windows are re-dispatched to the survivors; the completed
-/// run has the same bits as a healthy pool's, and ShardStats records
-/// workers_lost / windows_reassigned. Only zero surviving workers (or a
-/// pool that fails its initial connect — that is a configuration error)
-/// fails the run with SocketError. failover=false restores the strict
-/// stance: any mid-run death throws, no silent holes, caller re-runs.
+/// Failure stance: strict about *results*, resilient about *workers*. A
+/// worker that dies, stalls past worker_deadline, or speaks garbage mid-run
+/// is dropped and its outstanding windows are re-dispatched to the
+/// survivors; the completed run has the same bits as a healthy pool's
+/// (window seeds are index-mixed, so *which* worker decodes a window cannot
+/// change its bits), and ShardStats records workers_lost /
+/// windows_reassigned. Only zero surviving workers (or a pool that fails
+/// its initial connect — that is a configuration error) fails the run with
+/// SocketError.
 class ShardedDecoder {
  public:
   struct Result {

@@ -15,28 +15,6 @@ namespace lfbs::net::federation {
 
 namespace {
 
-/// Blocking full write against the non-blocking connection: polls for
-/// writability between partial writes. Worker → coordinator messages are
-/// small (one window's streams), so this cannot deadlock against the
-/// coordinator's much larger IQ sends — the coordinator drains reads while
-/// it writes.
-void write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes,
-               const std::atomic<bool>& stop) {
-  std::size_t sent = 0;
-  while (sent < bytes.size() && !stop.load(std::memory_order_relaxed)) {
-    const std::ptrdiff_t n =
-        conn.write_some(bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-    } else if (n == -1) {
-      std::vector<PollItem> items{{conn.fd(), false, true}};
-      poll_fds(items, 100);
-    } else {
-      throw SocketError("coordinator closed mid-write");
-    }
-  }
-}
-
 core::WindowedDecoderConfig config_from_assign(const ShardAssign& assign) {
   core::WindowedDecoderConfig wc;
   wc.window = assign.window_seconds;
@@ -73,6 +51,15 @@ std::size_t ShardWorker::serve() {
   bool greeted = false;
   std::size_t windows_decoded = 0;
 
+  // Worker → coordinator messages are small (one window's streams), so a
+  // blocking write cannot deadlock against the coordinator's much larger
+  // IQ sends: the coordinator drains reads while it writes.
+  const auto send = [&](const std::vector<std::uint8_t>& bytes) {
+    if (!write_all(conn, bytes, &stop_)) {
+      throw SocketError("coordinator closed mid-write");
+    }
+  };
+
   // In-flight assignment: decode fires once `received` reaches the
   // assign's declared sample count.
   std::optional<ShardAssign> pending;
@@ -94,7 +81,7 @@ std::size_t ShardWorker::serve() {
         core::WindowedDecoder(config_from_assign(assign)).decode_window(window);
     std::vector<std::uint8_t> reply;
     encode_shard_result(result, reply);
-    write_all(conn, reply, stop_);
+    send(reply);
     ++windows_decoded;
     windows_counter.add();
     if (obs::EventLog* log = obs::event_log()) {
@@ -132,7 +119,7 @@ std::size_t ShardWorker::serve() {
         greeted = true;
         std::vector<std::uint8_t> ack;
         encode_ack({0, config_.name}, ack);
-        write_all(conn, ack, stop_);
+        send(ack);
         continue;
       }
       switch (message->type) {
@@ -174,7 +161,7 @@ std::size_t ShardWorker::serve() {
           // Session complete; acknowledge with a clean close.
           std::vector<std::uint8_t> bye;
           encode_bye({ByeReason::kEndOfStream, "shards complete"}, bye);
-          write_all(conn, bye, stop_);
+          send(bye);
           done = true;
           break;
         }

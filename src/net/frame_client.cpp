@@ -58,10 +58,8 @@ TcpConnection FrameClient::connect_with_backoff() {
     } catch (const SocketError&) {
       if (attempt >= config_.max_connect_attempts) throw;
       ++attempt;
-      const Seconds wait = config_.backoff_jitter
-                               ? backoff_jitter_delay(backoff_rng_, cap)
-                               : cap;
-      std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          backoff_jitter_delay(backoff_rng_, cap)));
       cap = std::min(cap * 2.0, config_.backoff_max);
     }
   }
@@ -93,23 +91,11 @@ Bye FrameClient::run(const Callbacks& callbacks) {
       ++counters_.resubscribes;
       obs::metrics().counter("net.client_resubscribes").add();
     }
-    std::size_t sent = 0;
-    while (sent < handshake.size()) {
-      const std::ptrdiff_t n =
-          conn.write_some(handshake.data() + sent, handshake.size() - sent);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-      } else if (n == -1) {
-        std::vector<PollItem> items{{conn.fd(), false, true}};
-        poll_fds(items, 100);
-      } else {
-        break;  // dead before the handshake finished; reconnect below
-      }
-    }
+    // A connection dead before the handshake is out reconnects below.
+    bool connection_alive = write_all(conn, handshake);
 
     MessageReader reader;
     SessionEnd end;
-    bool connection_alive = sent == handshake.size();
     // hello ack + subscribe ack (+ relay-hello ack when announcing)
     std::size_t acks_pending = is_relay ? 3 : 2;
     const auto session_start = std::chrono::steady_clock::now();
@@ -183,8 +169,10 @@ Bye FrameClient::run(const Callbacks& callbacks) {
               break;
             }
             case MsgType::kBye:
-              end.got_bye = true;
+              // Decode before flagging: a malformed Bye is a protocol
+              // error, not a clean end of stream.
               end.bye = decode_bye(message->body);
+              end.got_bye = true;
               break;
             default:
               throw WireFormatError(WireError::kMalformed,

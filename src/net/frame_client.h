@@ -27,16 +27,15 @@ struct FrameClientConfig {
   /// Reconnect policy. The defaults are literally the Supervisor's source
   /// retry policy — a lost gateway link is the same kind of transient fault
   /// as a flaky local source, so it gets the same budget and backoff shape.
+  /// The backoff is full-jitter (sleep = U[0, cap), cap doubling up to
+  /// backoff_max): without jitter every client evicted by the same server
+  /// death retries on the same deterministic schedule — a thundering herd
+  /// that re-arrives in lockstep forever. Seeded, so a given client's
+  /// schedule is still reproducible.
   std::size_t max_connect_attempts =
       runtime::SupervisorConfig{}.max_source_retries;
   Seconds backoff_initial = runtime::SupervisorConfig{}.retry_backoff_initial;
   Seconds backoff_max = runtime::SupervisorConfig{}.retry_backoff_max;
-  /// Full-jitter backoff (sleep = U[0, cap), cap doubling up to
-  /// backoff_max). Without jitter every client evicted by the same server
-  /// death retries on the same deterministic schedule — a thundering herd
-  /// that re-arrives in lockstep forever. Seeded, so a given client's
-  /// schedule is still reproducible.
-  bool backoff_jitter = true;
   /// Seed for the jitter Rng; 0 (default) derives a per-client seed from
   /// the client name and a process-wide construction counter, so N tailers
   /// built in one process spread out deterministically but differently.

@@ -5,28 +5,6 @@
 
 namespace lfbs::net {
 
-namespace {
-
-/// Blocking full write over a non-blocking connection. Throws SocketError
-/// when the peer goes away mid-write.
-void write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const std::ptrdiff_t n =
-        conn.write_some(bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-    } else if (n == -1) {
-      std::vector<PollItem> items{{conn.fd(), false, true}};
-      poll_fds(items, 100);
-    } else {
-      throw SocketError("peer closed during write");
-    }
-  }
-}
-
-}  // namespace
-
 RemoteIqSource::RemoteIqSource(IqIngestConfig config)
     : config_(std::move(config)),
       listener_(config_.bind_address, config_.port) {}
@@ -67,7 +45,9 @@ SampleRate RemoteIqSource::wait_for_pusher() {
         rate_ = hello.sample_rate;
         std::vector<std::uint8_t> ack;
         encode_ack({0, "lfbs-ingest"}, ack);
-        write_all(conn_, ack);
+        if (!write_all(conn_, ack)) {
+          throw SocketError("peer closed during write");
+        }
         return rate_;
       }
     } catch (const WireFormatError& error) {
@@ -154,7 +134,7 @@ std::uint64_t push_iq(const std::string& host, std::uint16_t port,
   hello.name = name;
   std::vector<std::uint8_t> bytes;
   encode_hello(hello, bytes);
-  write_all(conn, bytes);
+  if (!write_all(conn, bytes)) throw SocketError("peer closed during write");
 
   // Wait for the ingest side's ack before streaming.
   MessageReader reader;
@@ -190,12 +170,16 @@ std::uint64_t push_iq(const std::string& host, std::uint16_t port,
     while (auto chunk = source.next_chunk()) {
       bytes.clear();
       encode_iq_chunk(*chunk, f64, bytes);
-      write_all(conn, bytes);
+      if (!write_all(conn, bytes)) {
+        throw SocketError("peer closed during write");
+      }
       total += chunk->samples.size();
     }
     bytes.clear();
     encode_iq_end({total, false}, bytes);
-    write_all(conn, bytes);
+    if (!write_all(conn, bytes)) {
+      throw SocketError("peer closed during write");
+    }
   } catch (const SocketError& error) {
     // Past the ack the receiver owns part of the stream; surface the death
     // as the typed mid-stream abort so callers can tell it from a failed

@@ -197,6 +197,25 @@ void TcpConnection::set_send_buffer(std::size_t bytes) {
   ::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &value, sizeof(value));
 }
 
+bool write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes,
+               const std::atomic<bool>* stop) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
+    const std::ptrdiff_t n =
+        conn.write_some(bytes.data() + sent, bytes.size() - sent);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else if (n == -1) {
+      std::vector<PollItem> items{{conn.fd(), false, true}};
+      poll_fds(items, 100);
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
 WakePipe::WakePipe() {
   int fds[2];
   if (::pipe(fds) < 0) throw_errno("pipe");

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -105,6 +106,14 @@ class TcpConnection {
  private:
   FdHandle fd_;
 };
+
+/// Blocking full write over a non-blocking connection: polls for
+/// writability between partial writes. Returns false when the peer closes
+/// before every byte is out; the caller decides whether that throws or
+/// reconnects. A non-null `stop` that becomes true ends the write early
+/// and returns true: the caller is shutting down, not losing its peer.
+bool write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes,
+               const std::atomic<bool>* stop = nullptr);
 
 /// Self-pipe used to wake a poll loop from another thread (the stitcher
 /// publishing a frame, a caller requesting shutdown). wake() is safe from

@@ -67,7 +67,6 @@ SnapshotEmitter::SnapshotEmitter(double interval_seconds,
       cv_.wait_for(lock, std::chrono::duration<double>(interval_seconds_),
                    [&] { return stop_requested_; });
       if (stop_requested_) return;
-      ++ticks_;
       lock.unlock();
       tick_();
       lock.lock();
@@ -87,18 +86,7 @@ void SnapshotEmitter::stop() {
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
   // Final tick so short runs still produce one snapshot.
-  if (was_running && tick_) {
-    {
-      std::lock_guard lock(mutex_);
-      ++ticks_;
-    }
-    tick_();
-  }
-}
-
-std::size_t SnapshotEmitter::ticks() const {
-  std::lock_guard lock(mutex_);
-  return ticks_;
+  if (was_running && tick_) tick_();
 }
 
 }  // namespace lfbs::obs

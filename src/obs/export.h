@@ -38,15 +38,12 @@ class SnapshotEmitter {
 
   void stop();
 
-  std::size_t ticks() const;
-
  private:
   double interval_seconds_;
   std::function<void()> tick_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_requested_ = false;
-  std::size_t ticks_ = 0;
   std::thread thread_;
 };
 

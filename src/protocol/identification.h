@@ -22,7 +22,6 @@ class IdentificationSession {
  public:
   explicit IdentificationSession(std::vector<EpcId> population);
 
-  std::size_t population_size() const { return population_.size(); }
   std::size_t identified_count() const { return seen_.size(); }
   bool complete() const { return seen_.size() == population_.size(); }
   Seconds elapsed() const { return elapsed_; }

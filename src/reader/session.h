@@ -24,10 +24,9 @@ struct SessionConfig {
   /// Enable §3.6 broadcast rate control between epochs.
   bool rate_control = true;
   protocol::RateController::Config rate_controller{};
-  /// Track per-stream decode health across epochs; a newly quarantined
+  /// Per-stream decode health is tracked across epochs; a newly quarantined
   /// stream immediately steps the broadcast rate down one notch (when
   /// rate_control is on) instead of waiting for the loss-ratio trigger.
-  bool health_tracking = true;
   HealthLedgerConfig health{};
 };
 
@@ -78,12 +77,6 @@ class ReaderSession {
   const SessionStats& stats() const { return stats_; }
   const HealthLedger& health() const { return ledger_; }
   BitRate current_max_rate() const;
-
-  /// Direct access to the broadcast rate controller, so the fleet control
-  /// plane (src/control) can drive step_up()/step_down() between epochs
-  /// through the same hooks the session's own health ledger uses.
-  protocol::RateController& controller() { return controller_; }
-  const protocol::RateController& controller() const { return controller_; }
 
   /// Runs one full epoch cycle: capture, decode, account, and (optionally)
   /// issue a broadcast rate command for the *next* epoch.

@@ -112,7 +112,6 @@ class BoundedRing {
     if (queue_.empty()) return std::nullopt;
     T item = std::move(queue_.front());
     queue_.pop_front();
-    ++popped_;
     lock.unlock();
     not_full_.notify_one();
     return item;
@@ -136,10 +135,6 @@ class BoundedRing {
   std::size_t pushed() const {
     std::lock_guard lock(mutex_);
     return pushed_;
-  }
-  std::size_t popped() const {
-    std::lock_guard lock(mutex_);
-    return popped_;
   }
   std::size_t dropped() const {
     std::lock_guard lock(mutex_);
@@ -165,7 +160,6 @@ class BoundedRing {
   std::size_t capacity_;
   bool closed_ = false;
   std::size_t pushed_ = 0;
-  std::size_t popped_ = 0;
   std::size_t dropped_ = 0;
   std::size_t high_watermark_ = 0;
 };

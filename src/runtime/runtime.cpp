@@ -20,6 +20,12 @@ namespace lfbs::runtime {
 
 namespace {
 
+/// Streams whose composite decode confidence lands below this floor (or
+/// that needed a degraded fallback stage) are reported to the supervisor
+/// and degrade run health — the channel, not the software, is the fault,
+/// but the operator should see it in the same place.
+constexpr double kConfidenceFloor = 0.2;
+
 struct WindowOutcome {
   bool whole_capture = false;
   core::DecodeResult result;
@@ -265,7 +271,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
       const bool degraded =
           stream.confidence.stage != core::FallbackStage::kPrimary;
       if (degraded) ++out.stats.degraded_streams;
-      if (score < config_.confidence_floor || degraded) ++low;
+      if (score < kConfidenceFloor || degraded) ++low;
     }
     out.stats.mean_confidence =
         sum / static_cast<double>(out.decode.streams.size());

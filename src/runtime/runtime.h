@@ -55,11 +55,6 @@ struct RuntimeConfig {
   /// exception containment, non-finite scrubbing, health accounting. The
   /// defaults are inert on fault-free runs (bit-identical output).
   SupervisorConfig supervision{};
-  /// Streams whose composite decode confidence lands below this floor (or
-  /// that needed a degraded fallback stage) are reported to the supervisor
-  /// and degrade run health — the channel, not the software, is the fault,
-  /// but the operator should see it in the same place.
-  double confidence_floor = 0.2;
   /// Optional external stop flag (e.g. a signal handler's atomic). When it
   /// becomes true the ingest loop stops pulling from the source; every
   /// chunk already ingested still decodes, stitches, and publishes before

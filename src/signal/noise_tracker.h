@@ -56,8 +56,6 @@ class NoiseTracker {
   /// Rolling estimate over the trailing history. Zero until primed.
   NoiseEstimate estimate() const;
 
-  bool primed() const { return !blocks_.empty(); }
-
   /// Causal blockwise estimates over a whole series: out[b] is the rolling
   /// estimate after block b (samples [b*block, (b+1)*block)) closed, so it
   /// can threshold that block without looking ahead. A trailing partial

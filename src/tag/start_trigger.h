@@ -27,9 +27,6 @@ class StartTrigger {
   /// Draws the device's RC once (capacitor tolerance is fixed per part).
   StartTrigger(Config config, Rng& rng);
 
-  /// This part's actual RC constant.
-  Seconds actual_rc() const { return rc_; }
-
   /// Fire delay after carrier-on for a given relative incoming energy
   /// (1.0 = nominal). Higher energy charges faster → earlier fire. Each call
   /// redraws the charging noise: the same tag fires at slightly different

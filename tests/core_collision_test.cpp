@@ -343,6 +343,47 @@ TEST(ErrorCorrector, BeatsHardDecisionsUnderNoise) {
                                 "total bits " << total;
 }
 
+TEST(ErrorCorrector, LowConfidenceBoundaryIsErasedAndFilledIn) {
+  // A faded rising edge: boundary 4 reads as "no edge", so the hard
+  // decode must put the missing rise somewhere in 4..8 and noise picks the
+  // spot. Erasing boundary 4 (confidence under 0.25) widens its emissions
+  // until the transition structure puts the rise back where it belongs.
+  const Complex e{0.1, 0.02};
+  const std::vector<bool> truth = {
+      true,  false, false, false, true,  true,  true,  true,  true,  false,
+      false, true,  false, true,  true,  false, false, true,  false, true,
+      false, false, true,  true,  false, true,  false, false, true,  false};
+  constexpr std::size_t kFaded = 4;
+  Rng rng(5);
+  std::vector<Complex> points;
+  bool level = false;
+  for (std::size_t k = 0; k < truth.size(); ++k) {
+    const double d = k == kFaded ? 0.0
+                                 : static_cast<double>(truth[k]) -
+                                       static_cast<double>(level);
+    level = truth[k];
+    points.push_back(d * e + Complex{rng.gaussian(0.0, 0.01),
+                                     rng.gaussian(0.0, 0.01)});
+  }
+  ThreeClusterLabels labels;
+  labels.rising = e;
+  labels.falling = -e;
+  labels.constant = {};
+  labels.states = classify_simple(points);
+  const ErrorCorrector corrector;
+  ASSERT_NE(corrector.correct(points, labels), truth)
+      << "the faded edge must mislead the hard decode";
+
+  std::vector<double> confidences(points.size(), 1.0);
+  confidences[kFaded] = 0.24;
+  const auto erased = corrector.correct_soft(points, labels, confidences);
+  EXPECT_EQ(erased.erasures, 1u);
+  EXPECT_EQ(erased.bits, truth);
+
+  confidences[kFaded] = 0.26;
+  EXPECT_EQ(corrector.correct_soft(points, labels, confidences).erasures, 0u);
+}
+
 TEST(ErrorCorrector, JointDecodeSeparatesBothTags) {
   Rng rng(9);
   const Complex e1{0.1, 0.01}, e2{-0.03, 0.09};

@@ -23,6 +23,7 @@
 #include "net/frame_client.h"
 #include "net/frame_server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "protocol/frame.h"
 #include "reader/receiver.h"
 #include "runtime/frame_bus.h"
@@ -382,6 +383,88 @@ TEST(FrameRelay, HopLimitDropsOverTraveledFrames) {
   EXPECT_EQ(relay_1.counters().relayed, kFrames);
   EXPECT_EQ(relay_2.counters().hop_drops, kFrames);
   EXPECT_EQ(relay_2.counters().relayed, 0u);
+}
+
+TEST(FrameRelay, RedialsAnUpstreamThatSendsAMalformedMessage) {
+  // A scripted upstream on a bare listener: the relay's first connection
+  // gets a well-framed Bye whose reason byte is out of range; the redial
+  // gets the three handshake acks, one frame and a clean Bye.
+  TcpListener listener("127.0.0.1", 0);
+  runtime::FrameEvent upstream_event = make_event(7);
+  upstream_event.origin = 1;
+  const obs::Counter& resets =
+      obs::metrics().counter("net.client_protocol_resets");
+  const std::uint64_t resets_before = resets.value();
+
+  std::size_t scripted_connections = 0;
+  std::thread upstream([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto accept_one = [&]() -> std::optional<TcpConnection> {
+      while (std::chrono::steady_clock::now() < deadline) {
+        std::vector<PollItem> items{{listener.fd(), true, false}};
+        poll_fds(items, 100);
+        FdHandle fd = listener.accept();
+        if (fd.valid()) return TcpConnection(std::move(fd));
+      }
+      return std::nullopt;
+    };
+    // Reads until the relay hangs up, so this side never closes first with
+    // the relay's handshake unread (the reset could beat the script).
+    const auto drain_until_closed = [&](TcpConnection& conn) {
+      std::uint8_t buf[4096];
+      while (std::chrono::steady_clock::now() < deadline) {
+        std::vector<PollItem> items{{conn.fd(), true, false}};
+        poll_fds(items, 100);
+        if (conn.read_some(buf, sizeof(buf)) == 0) return;
+      }
+    };
+
+    std::optional<TcpConnection> first = accept_one();
+    if (!first) return;
+    ++scripted_connections;
+    std::vector<std::uint8_t> malformed;
+    encode_bye({ByeReason::kEndOfStream, "scripted"}, malformed);
+    malformed[5] = 0xff;  // first body byte after the 5-byte header: reason
+    write_all(*first, malformed);
+    drain_until_closed(*first);
+
+    std::optional<TcpConnection> second = accept_one();
+    if (!second) return;
+    ++scripted_connections;
+    std::vector<std::uint8_t> script;
+    Ack ack;
+    ack.text = "scripted";
+    for (int i = 0; i < 3; ++i) encode_ack(ack, script);  // hello, relay, sub
+    encode_frame(upstream_event, script);
+    encode_bye({ByeReason::kEndOfStream, "scripted"}, script);
+    write_all(*second, script);
+    drain_until_closed(*second);
+  });
+
+  FrameServer relay_server{FrameServerConfig{}};
+  Collector collector(relay_server.port());
+  ASSERT_TRUE(wait_subscribers(relay_server, 1));
+  RelayConfig rc;
+  rc.gateway_id = 2;
+  rc.upstreams = {{"127.0.0.1", listener.port()}};
+  FrameRelay relay(rc, relay_server);
+  relay.start();
+  upstream.join();
+  EXPECT_TRUE(relay.join()) << "the redialed upstream ends cleanly";
+  relay_server.shutdown(/*drain=*/true);
+  collector.join();
+
+  EXPECT_EQ(scripted_connections, 2u);
+  EXPECT_EQ(resets.value() - resets_before, 1u);
+  ASSERT_EQ(collector.events.size(), 1u);
+  EXPECT_EQ(collector.events[0].frame.payload, upstream_event.frame.payload);
+  EXPECT_EQ(collector.events[0].origin, 1u);
+  EXPECT_EQ(collector.events[0].hops, 1u);
+  const auto counters = relay.counters();
+  EXPECT_EQ(counters.relayed, 1u);
+  EXPECT_EQ(counters.upstream_ends, 1u);
+  EXPECT_EQ(counters.upstream_failures, 0u);
 }
 
 // --- sharded decode ------------------------------------------------------

@@ -3,7 +3,7 @@
 // Usage:
 //   lfbs_decode <capture.lfbsiq> [--crc5] [--payload N] [--max-rate KBPS]
 //               [--windowed MS] [--workers N] [--edge-only]
-//               [--resample MSPS] [--inject-faults SPEC] [--trace]
+//               [--resample MSPS] [--inject-faults SPEC]
 //
 // --workers N streams the file through the concurrent decode runtime
 // (src/runtime) with N window workers instead of the serial decoder; the
@@ -22,8 +22,10 @@
 // X; their frames do not count toward the exit status.
 //
 // Observability (see README "Observability"):
-//   --trace-out PATH      JSONL telemetry: stage spans, frame events,
-//                         health/ledger/rate transitions ("-" = stdout)
+//   --trace-out PATH      JSONL telemetry: stage spans (detect carries the
+//                         edge count, decode_pass the group count), frame
+//                         events, health/ledger/rate transitions
+//                         ("-" = stdout)
 //   --trace-chrome PATH   Chrome trace-event JSON (chrome://tracing); holds
 //                         the most recent spans up to the tracer's ring
 //   --metrics-out PATH    Prometheus text exposition of the run's metrics
@@ -68,7 +70,7 @@ void usage() {
                "usage: lfbs_decode <capture.lfbsiq> [--crc5] [--payload N] "
                "[--max-rate KBPS] [--windowed MS] [--workers N] "
                "[--edge-only] [--no-fallback] [--min-confidence X] "
-               "[--resample MSPS] [--inject-faults SPEC] [--trace]\n"
+               "[--resample MSPS] [--inject-faults SPEC]\n"
                "               [--trace-out PATH] [--trace-chrome PATH] "
                "[--metrics-out PATH] [--stats-interval SEC] "
                "[--stats-json PATH]\n"
@@ -235,8 +237,6 @@ int main(int argc, char** argv) {
       dc.robustness.fallback = false;
     } else if (arg == "--min-confidence" && i + 1 < argc) {
       min_confidence = atof(argv[++i]);
-    } else if (arg == "--trace") {
-      dc.trace = true;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg == "--trace-chrome" && i + 1 < argc) {
