@@ -71,21 +71,23 @@ int main() {
     return std::abs(a - b) < 0.25 * std::abs(b) ||
            std::abs(a + b) < 0.25 * std::abs(b);
   };
-  const bool direct = close(sep->e1, e1) && close(sep->e2, e2);
-  const bool swapped = close(sep->e1, e2) && close(sep->e2, e1);
+  const Complex got_e1 = sep->vectors[0];
+  const Complex got_e2 = sep->vectors[1];
+  const bool direct = close(got_e1, e1) && close(got_e2, e2);
+  const bool swapped = close(got_e1, e2) && close(got_e2, e1);
 
   // Sign ambiguity per component is resolved by the anchor bit in the full
   // pipeline; here infer the global flip from the first non-constant state.
   int flip1 = 1, flip2 = 1;
   for (std::size_t k = 0; k < points.size(); ++k) {
-    const int got1 = direct ? sep->states1[k] : sep->states2[k];
+    const int got1 = direct ? sep->states[0][k] : sep->states[1][k];
     if (truth1[k] != 0 && got1 != 0) {
       flip1 = truth1[k] * got1;
       break;
     }
   }
   for (std::size_t k = 0; k < points.size(); ++k) {
-    const int got2 = direct ? sep->states2[k] : sep->states1[k];
+    const int got2 = direct ? sep->states[1][k] : sep->states[0][k];
     if (truth2[k] != 0 && got2 != 0) {
       flip2 = truth2[k] * got2;
       break;
@@ -93,20 +95,20 @@ int main() {
   }
   std::size_t correct = 0;
   for (std::size_t k = 0; k < points.size(); ++k) {
-    const int got1 = direct ? sep->states1[k] : sep->states2[k];
-    const int got2 = direct ? sep->states2[k] : sep->states1[k];
+    const int got1 = direct ? sep->states[0][k] : sep->states[1][k];
+    const int got2 = direct ? sep->states[1][k] : sep->states[0][k];
     if (got1 * flip1 == truth1[k] && got2 * flip2 == truth2[k]) ++correct;
   }
 
   sim::Table table({"quantity", "truth", "recovered"});
   table.add_row({"e1 (I,Q)",
                  "(" + sim::fmt(e1.real(), 4) + ", " + sim::fmt(e1.imag(), 4) + ")",
-                 "(" + sim::fmt(sep->e1.real(), 4) + ", " +
-                     sim::fmt(sep->e1.imag(), 4) + ")"});
+                 "(" + sim::fmt(got_e1.real(), 4) + ", " +
+                     sim::fmt(got_e1.imag(), 4) + ")"});
   table.add_row({"e2 (I,Q)",
                  "(" + sim::fmt(e2.real(), 4) + ", " + sim::fmt(e2.imag(), 4) + ")",
-                 "(" + sim::fmt(sep->e2.real(), 4) + ", " +
-                     sim::fmt(sep->e2.imag(), 4) + ")"});
+                 "(" + sim::fmt(got_e2.real(), 4) + ", " +
+                     sim::fmt(got_e2.imag(), 4) + ")"});
   table.add_row({"vector match (up to order/sign)", "-",
                  (direct || swapped) ? "yes" : "NO"});
   table.add_row({"per-boundary state accuracy", "-",

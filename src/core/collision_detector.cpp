@@ -53,8 +53,6 @@ CollisionAssessment CollisionDetector::assess(
     dsp::KMeansResult fit = dsp::kmeans(boundary_diffs, k, rng, config_.kmeans);
     const double residual = rms_residual(fit, n);
     const double spread = centroid_spread(fit);
-    out.counts.push_back(k);
-    out.bic_scores.push_back(dsp::kmeans_bic(boundary_diffs, fit));
     const bool good_fit =
         spread > 0.0 && residual <= config_.residual_fraction * spread;
     const bool last = idx + 1 == ladder.size();

@@ -13,14 +13,13 @@ namespace lfbs::core {
 ///
 /// Each colliding tag contributes one of three edge states (rising, falling,
 /// constant) to every shared boundary, so k colliding tags produce 3^k
-/// clusters of boundary IQ differentials (§3.3). The detector fits k-means
-/// at 3, 9 (and 27 when the data could support it) clusters and picks the
-/// best BIC.
+/// clusters of boundary IQ differentials (§3.3). The detector climbs the
+/// ladder 3 → 9 → 27 clusters (each rung only when the data has enough
+/// points for it) and stops at the first fit whose residual is small
+/// against its centroid spread, or at the last rung.
 struct CollisionAssessment {
-  std::size_t colliders = 1;       ///< 1, 2, or 3
-  dsp::KMeansResult fit;           ///< fit at the chosen cluster count
-  std::vector<double> bic_scores;  ///< per candidate, same order as counts
-  std::vector<std::size_t> counts; ///< candidate cluster counts tried
+  std::size_t colliders = 1;  ///< 1, 2, or 3
+  dsp::KMeansResult fit;      ///< fit at the chosen cluster count
 };
 
 struct CollisionDetectorConfig {
@@ -28,8 +27,10 @@ struct CollisionDetectorConfig {
   /// fitting 9 clusters to 12 points proves nothing.
   std::size_t min_points_per_cluster = 3;
   /// Consider the 27-cluster (3-tag) hypothesis at all. The paper shows
-  /// P(3-way collision) ≈ 0.018 at 16 nodes / 100 kbps; such groups are
-  /// flagged and re-tried in a later epoch rather than separated.
+  /// P(3-way collision) ≈ 0.018 at 16 nodes / 100 kbps and defers such
+  /// groups to a later epoch; the decoder first attempts a 3-way
+  /// separation, then a 2-way one of the strongest components, and only
+  /// then defers.
   bool consider_three_way = true;
   /// "Is k clusters a good fit?" test (§3.3): a fit is accepted when its
   /// RMS within-cluster residual is below this fraction of the centroid

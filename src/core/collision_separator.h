@@ -12,23 +12,24 @@ namespace lfbs::core {
 /// Per-boundary edge state of one tag: -1 falling, 0 constant, +1 rising.
 using EdgeState = int;
 
-/// Two-tag collision separation (§3.4, Fig 5).
+/// K-tag collision separation (§3.4, Fig 5), K = 2 or 3.
 ///
-/// The nine cluster centroids of a two-tag collision are the linear
-/// combinations a·e1 + b·e2, (a, b) ∈ {-1, 0, 1}², of the two tags' edge
-/// vectors. Geometrically they form a 3×3 grid: the four corners ±e1±e2,
-/// the four side midpoints ±e1 and ±e2, and the origin. The separator
-/// recovers e1 and e2 by finding equally spaced collinear centroid triples
-/// (the parallelogram sides) and taking their midpoints — no channel
-/// estimation required.
-struct SeparationResult {
-  Complex e1;  ///< edge vector of component 1
-  Complex e2;  ///< edge vector of component 2
-  /// Per-boundary states, same length as the input points.
-  std::vector<EdgeState> states1;
-  std::vector<EdgeState> states2;
+/// The 3^K cluster centroids of a K-tag collision are the linear
+/// combinations c1·e1 + … + cK·eK, c ∈ {-1, 0, 1}^K, of the tags' edge
+/// vectors. For two tags they form the paper's 3×3 grid: the four corners
+/// ±e1±e2, the four side midpoints ±e1 and ±e2, and the origin. Three tags
+/// (an extension: the paper defers them to the next epoch) give the 27-point
+/// grid projected into the IQ plane. The separator proposes candidate edge
+/// vectors among the centroids, keeps the candidate whose grid matches all
+/// centroids bijectively, and classifies every boundary against that grid —
+/// no channel estimation required.
+struct Separation {
+  /// Edge vector of each component, K entries.
+  std::vector<Complex> vectors;
+  /// Per component, the per-boundary states (same length as the input).
+  std::vector<std::vector<EdgeState>> states;
   /// Mean distance from each point to its matched combination, as a
-  /// fraction of min(|e1|, |e2|) — a separation quality figure.
+  /// fraction of the weakest edge vector — a separation quality figure.
   double residual = 0.0;
 };
 
@@ -36,22 +37,12 @@ struct SeparatorConfig {
   /// A centroid counts as the midpoint of a pair when it sits within this
   /// fraction of the pair's span from the geometric midpoint.
   double midpoint_tolerance = 0.2;
-  /// Maximum acceptable matching residual: |centroid - (a e1 + b e2)| must
-  /// be below this fraction of min(|e1|, |e2|) for every centroid.
+  /// Maximum acceptable matching residual: every centroid must lie within
+  /// this fraction of the weakest edge vector of its grid point.
   double match_tolerance = 0.5;
-  /// Reject when |e1| or |e2| is below this fraction of the strongest
+  /// Reject when an edge vector is below this fraction of the strongest
   /// centroid (degenerate / single-tag geometry).
   double min_edge_fraction = 0.05;
-};
-
-/// Three-tag separation result (extension beyond the paper, which defers
-/// three-way collisions to the next epoch): the 27 cluster centroids of a
-/// 3-tag collision are the grid a·e1 + b·e2 + c·e3, (a,b,c) ∈ {-1,0,1}³,
-/// projected into the IQ plane.
-struct Separation3Result {
-  Complex e1, e2, e3;
-  std::vector<EdgeState> states1, states2, states3;
-  double residual = 0.0;
 };
 
 class CollisionSeparator {
@@ -60,21 +51,17 @@ class CollisionSeparator {
 
   const SeparatorConfig& config() const { return config_; }
 
-  /// Attempts to separate a 9-cluster fit into two per-tag state sequences.
-  /// `points` are the boundary differentials the fit was computed on.
-  /// Returns nullopt when the geometry does not support separation (caller
-  /// falls back to single-stream decoding or defers to the next epoch).
-  std::optional<SeparationResult> separate(
-      std::span<const Complex> points, const dsp::KMeansResult& fit) const;
-
-  /// Attempts to separate a 27-cluster fit into three per-tag state
-  /// sequences. The axis vectors ±e_k are themselves grid points, so the
-  /// search tries centroid triples as (e1, e2, e3) hypotheses and keeps the
-  /// one whose 27-point grid matches all centroids bijectively. Succeeds
-  /// only when the three edge vectors are pairwise well-conditioned in the
-  /// IQ plane; otherwise the caller falls back to two-way separation.
-  std::optional<Separation3Result> separate_three(
-      std::span<const Complex> points, const dsp::KMeansResult& fit) const;
+  /// Separates a 9-cluster (K = 2) or 27-cluster (K = 3) fit into K per-tag
+  /// state sequences. `points` are the boundary differentials the fit was
+  /// computed on. Two-tag candidates are the midpoints of equally spaced
+  /// collinear centroid triples (the parallelogram sides), with every
+  /// centroid pair as the fallback; three-tag candidates are triples of the
+  /// 12 smallest centroids that are pairwise well-conditioned in the IQ
+  /// plane. Returns nullopt for any other cluster count or when the
+  /// geometry does not support separation (the caller falls back to a
+  /// smaller K, single-stream decoding or the next epoch).
+  std::optional<Separation> separate(std::span<const Complex> points,
+                                     const dsp::KMeansResult& fit) const;
 
  private:
   SeparatorConfig config_;

@@ -48,11 +48,6 @@ ErrorCorrector::ErrorCorrector(Config config) : config_(config) {
   LFBS_CHECK(config_.edge_probability > 0.0 && config_.edge_probability < 1.0);
 }
 
-std::vector<bool> ErrorCorrector::correct(
-    std::span<const Complex> points, const ThreeClusterLabels& labels) const {
-  return correct_soft(points, labels, {}).bits;
-}
-
 ErrorCorrector::SoftResult ErrorCorrector::correct_soft(
     std::span<const Complex> points, const ThreeClusterLabels& labels,
     std::span<const double> confidences) const {
@@ -77,116 +72,47 @@ ErrorCorrector::SoftResult ErrorCorrector::correct_soft(
 }
 
 ErrorCorrector::JointResult ErrorCorrector::correct_joint(
-    std::span<const Complex> points, Complex e1, Complex e2,
-    const std::vector<bool>& toggle1, const std::vector<bool>& toggle2,
-    double sigma) const {
+    std::span<const Complex> points, std::span<const Complex> vectors,
+    std::span<const std::vector<bool>> toggles, double sigma) const {
+  const std::size_t tags = vectors.size();
   LFBS_CHECK(!points.empty());
-  LFBS_CHECK(points.size() == toggle1.size());
-  LFBS_CHECK(points.size() == toggle2.size());
+  // Backpointers are bytes: at most 2^8 states.
+  LFBS_CHECK(tags >= 1 && tags <= 8);
+  LFBS_CHECK(toggles.size() == tags);
+  for (const std::vector<bool>& t : toggles) {
+    LFBS_CHECK(t.size() == points.size());
+  }
   const double inv_two_sigma2 = 1.0 / (2.0 * std::max(sigma * sigma, 1e-18));
   const double log_edge = std::log(config_.edge_probability);
   const double log_hold = std::log(1.0 - config_.edge_probability);
 
-  // State = l1 + 2*l2; DP over boundaries. Emission sits on the transition,
-  // so this is a bespoke loop rather than the per-state dsp::Viterbi.
-  constexpr std::size_t kStates = 4;
+  // DP over boundaries. Emission sits on the transition, so this is a
+  // bespoke loop rather than the per-state dsp::Viterbi.
+  const std::size_t states = std::size_t{1} << tags;
   const std::size_t n = points.size();
-  std::vector<double> score(kStates, -1e300);
-  score[0] = 0.0;  // both tags idle at level 0 before their anchors
-  std::vector<std::vector<std::uint8_t>> backptr(
-      n, std::vector<std::uint8_t>(kStates, 0));
-  std::vector<double> next(kStates);
+  std::vector<double> score(states, -1e300);
+  score[0] = 0.0;  // every tag idle at level 0 before its anchor
+  std::vector<double> next(states);
+  std::vector<std::uint8_t> backptr(n * states, 0);
 
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t to = 0; to < kStates; ++to) {
-      const int l1p = static_cast<int>(to & 1u);
-      const int l2p = static_cast<int>((to >> 1) & 1u);
+    bool can[8];
+    for (std::size_t t = 0; t < tags; ++t) can[t] = toggles[t][k];
+    for (std::size_t to = 0; to < states; ++to) {
       double best = -1e300;
       std::uint8_t arg = 0;
-      for (std::size_t from = 0; from < kStates; ++from) {
-        const int l1 = static_cast<int>(from & 1u);
-        const int l2 = static_cast<int>((from >> 1) & 1u);
-        if (l1 != l1p && !toggle1[k]) continue;
-        if (l2 != l2p && !toggle2[k]) continue;
-        const Complex expected = static_cast<double>(l1p - l1) * e1 +
-                                 static_cast<double>(l2p - l2) * e2;
-        double cand = score[from] - std::norm(points[k] - expected) *
-                                        inv_two_sigma2;
-        if (toggle1[k]) cand += (l1 != l1p) ? log_edge : log_hold;
-        if (toggle2[k]) cand += (l2 != l2p) ? log_edge : log_hold;
-        if (cand > best) {
-          best = cand;
-          arg = static_cast<std::uint8_t>(from);
-        }
-      }
-      next[to] = best;
-      backptr[k][to] = arg;
-    }
-    score.swap(next);
-  }
-
-  std::size_t state = 0;
-  double best = score[0];
-  double second = -1e300;
-  for (std::size_t s = 1; s < kStates; ++s) {
-    if (score[s] > best) {
-      second = best;
-      best = score[s];
-      state = s;
-    } else if (score[s] > second) {
-      second = score[s];
-    }
-  }
-  JointResult out;
-  out.margin = (second > -1e299) ? best - second : 0.0;
-  out.levels1.resize(n);
-  out.levels2.resize(n);
-  for (std::size_t k = n; k-- > 0;) {
-    out.levels1[k] = (state & 1u) != 0;
-    out.levels2[k] = (state & 2u) != 0;
-    state = backptr[k][state];
-  }
-  return out;
-}
-
-ErrorCorrector::Joint3Result ErrorCorrector::correct_joint3(
-    std::span<const Complex> points, Complex e1, Complex e2, Complex e3,
-    const std::vector<bool>& toggle1, const std::vector<bool>& toggle2,
-    const std::vector<bool>& toggle3, double sigma) const {
-  LFBS_CHECK(!points.empty());
-  LFBS_CHECK(points.size() == toggle1.size());
-  LFBS_CHECK(points.size() == toggle2.size());
-  LFBS_CHECK(points.size() == toggle3.size());
-  const double inv_two_sigma2 = 1.0 / (2.0 * std::max(sigma * sigma, 1e-18));
-  const double log_edge = std::log(config_.edge_probability);
-  const double log_hold = std::log(1.0 - config_.edge_probability);
-  const Complex evec[3] = {e1, e2, e3};
-
-  constexpr std::size_t kStates = 8;  // l1 + 2*l2 + 4*l3
-  const std::size_t n = points.size();
-  std::vector<double> score(kStates, -1e300);
-  score[0] = 0.0;
-  std::vector<std::vector<std::uint8_t>> backptr(
-      n, std::vector<std::uint8_t>(kStates, 0));
-  std::vector<double> next(kStates);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const bool can[3] = {toggle1[k], toggle2[k], toggle3[k]};
-    for (std::size_t to = 0; to < kStates; ++to) {
-      double best = -1e300;
-      std::uint8_t arg = 0;
-      for (std::size_t from = 0; from < kStates; ++from) {
+      for (std::size_t from = 0; from < states; ++from) {
         Complex expected{};
         double prior = 0.0;
         bool feasible = true;
-        for (std::size_t t = 0; t < 3; ++t) {
+        for (std::size_t t = 0; t < tags; ++t) {
           const int l = static_cast<int>((from >> t) & 1u);
           const int lp = static_cast<int>((to >> t) & 1u);
           if (l != lp && !can[t]) {
             feasible = false;
             break;
           }
-          expected += static_cast<double>(lp - l) * evec[t];
+          expected += static_cast<double>(lp - l) * vectors[t];
           if (can[t]) prior += (l != lp) ? log_edge : log_hold;
         }
         if (!feasible) continue;
@@ -199,7 +125,7 @@ ErrorCorrector::Joint3Result ErrorCorrector::correct_joint3(
         }
       }
       next[to] = best;
-      backptr[k][to] = arg;
+      backptr[k * states + to] = arg;
     }
     score.swap(next);
   }
@@ -207,25 +133,23 @@ ErrorCorrector::Joint3Result ErrorCorrector::correct_joint3(
   std::size_t state = 0;
   double best = score[0];
   double second = -1e300;
-  for (std::size_t s2 = 1; s2 < kStates; ++s2) {
-    if (score[s2] > best) {
+  for (std::size_t s = 1; s < states; ++s) {
+    if (score[s] > best) {
       second = best;
-      best = score[s2];
-      state = s2;
-    } else if (score[s2] > second) {
-      second = score[s2];
+      best = score[s];
+      state = s;
+    } else if (score[s] > second) {
+      second = score[s];
     }
   }
-  Joint3Result out;
+  JointResult out;
   out.margin = (second > -1e299) ? best - second : 0.0;
-  out.levels1.resize(n);
-  out.levels2.resize(n);
-  out.levels3.resize(n);
+  out.levels.assign(tags, std::vector<bool>(n));
   for (std::size_t k = n; k-- > 0;) {
-    out.levels1[k] = (state & 1u) != 0;
-    out.levels2[k] = (state & 2u) != 0;
-    out.levels3[k] = (state & 4u) != 0;
-    state = backptr[k][state];
+    for (std::size_t t = 0; t < tags; ++t) {
+      out.levels[t][k] = ((state >> t) & 1u) != 0;
+    }
+    state = backptr[k * states + state];
   }
   return out;
 }

@@ -49,56 +49,40 @@ class ErrorCorrector {
   explicit ErrorCorrector(Config config);
   ErrorCorrector() : ErrorCorrector(Config{}) {}
 
-  /// Corrects a labelled single stream: returns the maximum-likelihood bit
-  /// sequence given the boundary differentials and the cluster geometry.
-  std::vector<bool> correct(std::span<const Complex> points,
-                            const ThreeClusterLabels& labels) const;
-
   using SoftResult = SoftDecisionResult;
 
-  /// Erasure-aware variant of correct(): boundaries whose confidence (from
-  /// EdgeDetector, in [0,1]; boundaries with no detected edge pass 1.0 —
-  /// "confidently no edge") is below the erasure threshold are decoded with
-  /// wide Gaussians so the 4-state machine's transition structure fills
-  /// them in. With an empty `confidences` span the bit sequence is
-  /// identical to correct().
+  /// Corrects a labelled single stream: returns the maximum-likelihood bit
+  /// sequence given the boundary differentials and the cluster geometry.
+  /// Boundaries whose confidence (from EdgeDetector, in [0,1]; boundaries
+  /// with no detected edge pass 1.0 — "confidently no edge") is below the
+  /// erasure threshold are decoded with wide Gaussians so the 4-state
+  /// machine's transition structure fills them in. An empty `confidences`
+  /// span erases nothing.
   SoftResult correct_soft(std::span<const Complex> points,
                           const ThreeClusterLabels& labels,
                           std::span<const double> confidences) const;
 
-  /// Joint decode of a two-tag collision: a 4-state Viterbi over the level
-  /// pair (l1, l2) whose transition from (l1,l2) to (l1',l2') emits
-  /// (l1'-l1)·e1 + (l2'-l2)·e2 at each shared boundary. Strictly better
-  /// than decoding each component against the other's hard decisions.
+  /// Joint decode of a K-tag collision: a 2^K-state Viterbi over the level
+  /// tuple (l1, …, lK), state l1 + 2·l2 + 4·l3 + …, whose transition from
+  /// (l1, …, lK) to (l1', …, lK') emits Σ (lt' - lt)·et at each shared
+  /// boundary. Strictly better than decoding each component against the
+  /// others' hard decisions.
   ///
-  /// `toggle1[k]` / `toggle2[k]` say whether the tag may change level at
-  /// boundary k (false before its anchor slot and off its bit lattice, for
-  /// mixed-rate collisions). `sigma` is the isotropic noise level of the
-  /// differentials.
+  /// `toggles[t][k]` says whether tag t may change level at boundary k
+  /// (false before its anchor slot and off its bit lattice, for mixed-rate
+  /// collisions). `sigma` is the isotropic noise level of the
+  /// differentials. Every tag starts idle at level 0.
   struct JointResult {
-    std::vector<bool> levels1;  ///< tag 1 level after each boundary
-    std::vector<bool> levels2;
+    /// Per tag, its level after each boundary.
+    std::vector<std::vector<bool>> levels;
     /// Terminal Viterbi margin: winning path score minus the best
     /// alternative ending (0 when nothing else survives).
     double margin = 0.0;
   };
-  JointResult correct_joint(std::span<const Complex> points, Complex e1,
-                            Complex e2, const std::vector<bool>& toggle1,
-                            const std::vector<bool>& toggle2,
+  JointResult correct_joint(std::span<const Complex> points,
+                            std::span<const Complex> vectors,
+                            std::span<const std::vector<bool>> toggles,
                             double sigma) const;
-
-  /// Three-tag extension of correct_joint: an 8-state Viterbi over the
-  /// level triple (l1, l2, l3).
-  struct Joint3Result {
-    std::vector<bool> levels1, levels2, levels3;
-    double margin = 0.0;  ///< terminal Viterbi margin, as in JointResult
-  };
-  Joint3Result correct_joint3(std::span<const Complex> points, Complex e1,
-                              Complex e2, Complex e3,
-                              const std::vector<bool>& toggle1,
-                              const std::vector<bool>& toggle2,
-                              const std::vector<bool>& toggle3,
-                              double sigma) const;
 
  private:
   SoftResult run(std::span<const Complex> points, Complex rising,

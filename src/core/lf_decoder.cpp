@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -496,61 +497,98 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
       pending.push_back(std::move(ps));
     };
 
+    // Decodes a K-tag separation: anchor normalization, per-component bit
+    // lattices from the hard states, the noise level, then the 2^K-state
+    // joint Viterbi (or, with error correction off, each component's
+    // integrated hard states). A two-tag separation first refines its edge
+    // vectors and the residual receiver offset by least squares. Returns
+    // false, decoding nothing, when a component never toggles.
+    const auto decode_components = [&](const Separation& sep) {
+      const std::size_t tags = sep.vectors.size();
+      const std::size_t n = slots.diffs.size();
+      // Each tag's first toggle is its rising anchor.
+      std::vector<std::vector<EdgeState>> states = sep.states;
+      std::vector<Complex> evec = sep.vectors;
+      for (std::size_t t = 0; t < tags; ++t) {
+        if (normalize_anchor(states[t])) evec[t] = -evec[t];
+      }
+      Complex offset{};
+      if (tags == 2) {
+        dsp::Matrix design(n, 3);
+        for (std::size_t k = 0; k < n; ++k) {
+          design.at(k, 0) = static_cast<double>(states[0][k]);
+          design.at(k, 1) = static_cast<double>(states[1][k]);
+          design.at(k, 2) = 1.0;
+        }
+        const std::vector<Complex> coef =
+            dsp::least_squares(design, slots.diffs, 1e-9);
+        if (coef.size() == 3) {
+          const double floor =
+              0.2 * std::min(std::abs(evec[0]), std::abs(evec[1]));
+          if (std::abs(coef[0]) > floor && std::abs(coef[1]) > floor) {
+            evec[0] = coef[0];
+            evec[1] = coef[1];
+            offset = coef[2];
+          }
+        }
+      }
+      std::vector<std::size_t> starts(tags), steps(tags);
+      std::vector<std::vector<bool>> toggles(tags);
+      for (std::size_t t = 0; t < tags; ++t) {
+        const std::vector<std::size_t> nz = lattice_of(states[t]);
+        if (nz.empty()) return false;
+        std::tie(steps[t], starts[t]) =
+            component_step(nz, n, allowed, sc.step_consensus);
+        toggles[t].assign(n, false);
+        for (std::size_t k = starts[t]; k < n; k += steps[t]) {
+          toggles[t][k] = true;
+        }
+      }
+      double sigma2 = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        Complex expected{};
+        for (std::size_t t = 0; t < tags; ++t) {
+          expected += static_cast<double>(states[t][k]) * evec[t];
+        }
+        sigma2 += std::norm(slots.diffs[k] - (expected + offset));
+      }
+      const double sigma =
+          std::sqrt(sigma2 / (2.0 * static_cast<double>(n)) + 1e-18);
+
+      if (!cfg.error_correction) {
+        for (std::size_t t = 0; t < tags; ++t) {
+          make_pending(integrate_states(
+                           subsample_states(states[t], starts[t], steps[t])),
+                       starts[t], steps[t], evec[t], sigma);
+        }
+        return true;
+      }
+      std::vector<Complex> centered(slots.diffs.begin(), slots.diffs.end());
+      for (Complex& z : centered) z -= offset;
+      const ErrorCorrector::JointResult joint =
+          corrector.correct_joint(centered, evec, toggles, sigma);
+      for (std::size_t t = 0; t < tags; ++t) {
+        std::vector<bool> bits;
+        for (std::size_t k = starts[t]; k < n; k += steps[t]) {
+          bits.push_back(joint.levels[t][k]);
+        }
+        make_pending(std::move(bits), starts[t], steps[t], evec[t], sigma,
+                     joint.margin / static_cast<double>(n));
+      }
+      return true;
+    };
+
     dsp::KMeansResult fit9 = std::move(assess.fit);
     if (assess.colliders >= 3) {
       // Three-way collisions are rare (P ≈ 0.018 at the paper's 16-node /
       // 100 kbps point). The paper defers them to the next epoch's fresh
       // random offsets (§3.2); as an extension we first attempt a full
-      // 3-tag separation against the 27-cluster grid, then fall back to a
-      // two-tag separation of the strongest components, then to deferral.
-      const auto sep3 = separator.separate_three(slots.diffs, fit9);
-      if (sep3.has_value() && cfg.error_correction) {
-        std::vector<EdgeState> s3[3] = {sep3->states1, sep3->states2,
-                                        sep3->states3};
-        Complex e3[3] = {sep3->e1, sep3->e2, sep3->e3};
-        for (int t = 0; t < 3; ++t) {
-          if (normalize_anchor(s3[t])) e3[t] = -e3[t];
-        }
-        bool ok = true;
-        std::size_t starts[3], steps[3];
-        const std::size_t n = slots.diffs.size();
-        std::vector<bool> toggles[3];
-        for (int t = 0; t < 3; ++t) {
-          const std::vector<std::size_t> nz = lattice_of(s3[t]);
-          if (nz.empty()) {
-            ok = false;
-            break;
-          }
-          const auto [st, s0] =
-              component_step(nz, n, allowed, sc.step_consensus);
-          steps[t] = st;
-          starts[t] = s0;
-          toggles[t].assign(n, false);
-          for (std::size_t k = s0; k < n; k += st) toggles[t][k] = true;
-        }
-        if (ok) {
-          double sigma2 = 0.0;
-          for (std::size_t k = 0; k < n; ++k) {
-            const Complex expected = static_cast<double>(s3[0][k]) * e3[0] +
-                                     static_cast<double>(s3[1][k]) * e3[1] +
-                                     static_cast<double>(s3[2][k]) * e3[2];
-            sigma2 += std::norm(slots.diffs[k] - expected);
-          }
-          const double sigma =
-              std::sqrt(sigma2 / (2.0 * static_cast<double>(n)) + 1e-18);
-          const auto joint = corrector.correct_joint3(
-              slots.diffs, e3[0], e3[1], e3[2], toggles[0], toggles[1],
-              toggles[2], sigma);
-          const std::vector<bool>* levels[3] = {&joint.levels1, &joint.levels2,
-                                                &joint.levels3};
-          for (int t = 0; t < 3; ++t) {
-            std::vector<bool> bits;
-            for (std::size_t k = starts[t]; k < n; k += steps[t]) {
-              bits.push_back((*levels[t])[k]);
-            }
-            make_pending(std::move(bits), starts[t], steps[t], e3[t], sigma,
-                         joint.margin / static_cast<double>(n));
-          }
+      // 3-tag separation against the 27-cluster grid, decoded jointly, then
+      // fall back to a two-tag separation of the strongest components, then
+      // to deferral.
+      if (cfg.error_correction) {
+        const auto separation = separator.separate(slots.diffs, fit9);
+        if (separation.has_value() && decode_components(*separation)) {
           ++result.diagnostics.collision_groups;
           continue;
         }
@@ -589,83 +627,9 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
       continue;
     }
     ++result.diagnostics.collision_groups;
-
-    // Anchor normalization (two-way): each tag's first toggle is its
-    // rising anchor.
-    std::vector<EdgeState> s1 = separation->states1;
-    std::vector<EdgeState> s2 = separation->states2;
-    Complex e1 = separation->e1;
-    Complex e2 = separation->e2;
-    if (normalize_anchor(s1)) e1 = -e1;
-    if (normalize_anchor(s2)) e2 = -e2;
-
-    // Refine (e1, e2) and the residual offset by least squares against the
-    // hard assignment, then measure the noise level.
-    Complex offset{};
-    {
-      dsp::Matrix design(slots.diffs.size(), 3);
-      for (std::size_t k = 0; k < slots.diffs.size(); ++k) {
-        design.at(k, 0) = static_cast<double>(s1[k]);
-        design.at(k, 1) = static_cast<double>(s2[k]);
-        design.at(k, 2) = 1.0;
-      }
-      const std::vector<Complex> coef =
-          dsp::least_squares(design, slots.diffs, 1e-9);
-      if (coef.size() == 3) {
-        const double floor = 0.2 * std::min(std::abs(e1), std::abs(e2));
-        if (std::abs(coef[0]) > floor && std::abs(coef[1]) > floor) {
-          e1 = coef[0];
-          e2 = coef[1];
-          offset = coef[2];
-        }
-      }
-    }
-    double sigma2 = 0.0;
-    for (std::size_t k = 0; k < slots.diffs.size(); ++k) {
-      const Complex expected = static_cast<double>(s1[k]) * e1 +
-                               static_cast<double>(s2[k]) * e2 + offset;
-      sigma2 += std::norm(slots.diffs[k] - expected);
-    }
-    const double sigma = std::sqrt(
-        sigma2 / (2.0 * static_cast<double>(slots.diffs.size())) + 1e-18);
-
-    // Per-component bit lattices from the hard states.
-    const std::vector<std::size_t> nz1 = lattice_of(s1);
-    const std::vector<std::size_t> nz2 = lattice_of(s2);
-    if (nz1.empty() || nz2.empty()) {
+    if (!decode_components(*separation)) {
       ++result.diagnostics.unresolved_groups;
       pending.push_back(decode_single(gi, slots.diffs, rng));
-      continue;
-    }
-    const auto [step1, start1] =
-        component_step(nz1, s1.size(), allowed, sc.step_consensus);
-    const auto [step2, start2] =
-        component_step(nz2, s2.size(), allowed, sc.step_consensus);
-
-    if (cfg.error_correction) {
-      // Joint 4-state Viterbi over both tags' levels.
-      const std::size_t n = slots.diffs.size();
-      std::vector<bool> toggle1(n, false), toggle2(n, false);
-      for (std::size_t k = start1; k < n; k += step1) toggle1[k] = true;
-      for (std::size_t k = start2; k < n; k += step2) toggle2[k] = true;
-      std::vector<Complex> centered(slots.diffs.begin(), slots.diffs.end());
-      for (Complex& z : centered) z -= offset;
-      const ErrorCorrector::JointResult joint =
-          corrector.correct_joint(centered, e1, e2, toggle1, toggle2, sigma);
-      std::vector<bool> bits1, bits2;
-      for (std::size_t k = start1; k < n; k += step1)
-        bits1.push_back(joint.levels1[k]);
-      for (std::size_t k = start2; k < n; k += step2)
-        bits2.push_back(joint.levels2[k]);
-      make_pending(std::move(bits1), start1, step1, e1, sigma,
-                   joint.margin / static_cast<double>(n));
-      make_pending(std::move(bits2), start2, step2, e2, sigma,
-                   joint.margin / static_cast<double>(n));
-    } else {
-      make_pending(integrate_states(subsample_states(s1, start1, step1)),
-                   start1, step1, e1, sigma);
-      make_pending(integrate_states(subsample_states(s2, start2, step2)),
-                   start2, step2, e2, sigma);
     }
   }
 

@@ -48,6 +48,20 @@ SubscribeFilter FrameClient::filter() const {
   return config_.filter;
 }
 
+void FrameClient::wait_unless_stopped(Seconds wait) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(wait));
+  for (auto now = std::chrono::steady_clock::now();
+       now < deadline && !stop_.load(std::memory_order_relaxed);
+       now = std::chrono::steady_clock::now()) {
+    std::this_thread::sleep_for(
+        std::min<std::chrono::steady_clock::duration>(
+            deadline - now, std::chrono::milliseconds(10)));
+  }
+}
+
 TcpConnection FrameClient::connect_with_backoff() {
   Seconds cap = config_.backoff_initial;
   std::size_t attempt = 0;
@@ -68,6 +82,10 @@ TcpConnection FrameClient::connect_with_backoff() {
 Bye FrameClient::run(const Callbacks& callbacks) {
   bool ever_connected = false;
   std::size_t admission_retries_left = config_.max_admission_retries;
+  // Cap of the full-jitter wait after a failed session: doubles on each
+  // consecutive failure up to backoff_max, back to backoff_initial once a
+  // handshake completes.
+  Seconds redial_cap = config_.backoff_initial;
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) {
       return {ByeReason::kShuttingDown, "client stopped"};
@@ -96,6 +114,7 @@ Bye FrameClient::run(const Callbacks& callbacks) {
 
     MessageReader reader;
     SessionEnd end;
+    bool protocol_reset = false;
     // hello ack + subscribe ack (+ relay-hello ack when announcing)
     std::size_t acks_pending = is_relay ? 3 : 2;
     const auto session_start = std::chrono::steady_clock::now();
@@ -147,6 +166,7 @@ Bye FrameClient::run(const Callbacks& callbacks) {
                   obs::metrics().counter("net.client_reconnects").add();
                 }
                 ever_connected = true;
+                redial_cap = config_.backoff_initial;
               }
               break;
             }
@@ -188,6 +208,7 @@ Bye FrameClient::run(const Callbacks& callbacks) {
         ++counters_.protocol_resets;
         obs::metrics().counter("net.client_protocol_resets").add();
         connection_alive = false;
+        protocol_reset = true;
       }
     }
     if (end.got_bye) {
@@ -198,24 +219,14 @@ Bye FrameClient::run(const Callbacks& callbacks) {
             !stop_.load(std::memory_order_relaxed)) {
           // The server is overloaded, not broken: honor its retry-after
           // hint (capped by our backoff ceiling, floored at the backoff
-          // initial when the server sent none), then redial. Sleep in
-          // slices so stop() stays responsive.
+          // initial when the server sent none), then redial.
           --admission_retries_left;
           ++counters_.retry_after_waits;
           obs::metrics().counter("net.client_retry_after_waits").add();
-          Seconds wait = end.bye.retry_after > 0.0
-                             ? end.bye.retry_after
-                             : config_.backoff_initial;
-          wait = std::min(wait, config_.backoff_max);
-          const auto deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<
-                  std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(wait));
-          while (std::chrono::steady_clock::now() < deadline &&
-                 !stop_.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          }
+          const Seconds wait = end.bye.retry_after > 0.0
+                                   ? end.bye.retry_after
+                                   : config_.backoff_initial;
+          wait_unless_stopped(std::min(wait, config_.backoff_max));
           continue;
         }
       }
@@ -237,7 +248,14 @@ Bye FrameClient::run(const Callbacks& callbacks) {
     }
     // Died without a Bye: transient by the Supervisor's definition. The
     // next connect_with_backoff() call spends a fresh retry budget; if the
-    // server is truly gone it throws SocketError out of run().
+    // server is truly gone it throws SocketError out of run(). But that
+    // call sleeps only after a failed dial, and a server that accepts and
+    // then sends garbage (or hangs up mid-handshake) never fails a dial:
+    // back off here too, or such a server is redialed in a hot loop.
+    if (protocol_reset || acks_pending > 0) {
+      wait_unless_stopped(backoff_jitter_delay(backoff_rng_, redial_cap));
+      redial_cap = std::min(redial_cap * 2.0, config_.backoff_max);
+    }
   }
 }
 

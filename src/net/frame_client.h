@@ -73,12 +73,17 @@ struct FrameClientConfig {
 ///
 /// A connection that dies *without* a Bye — server crash, network cut — is
 /// treated as transient: the client reconnects with full-jitter exponential
-/// backoff and resubscribes, counting the reconnect. A reconnect can miss
-/// frames published while disconnected; subscribers that set
-/// SubscribeFilter::replay_recent against a server with a replay ring heal
-/// the gap (deduping the overlap by frame identity), and consumers that
-/// need exactly-the-full-stream check the final WireStats frame count,
-/// which the gateway publishes before Bye(kEndOfStream).
+/// backoff and resubscribes, counting the reconnect. A session that died
+/// before its handshake completed, or ended in a protocol reset, also waits
+/// one full-jitter draw before the redial, its cap doubling per consecutive
+/// failed session up to backoff_max and reset by a completed handshake: a
+/// server that accepts and then misbehaves is never redialed in a hot
+/// loop. A reconnect can miss frames published while disconnected;
+/// subscribers that set SubscribeFilter::replay_recent against a server
+/// with a replay ring heal the gap (deduping the overlap by frame
+/// identity), and consumers that need exactly-the-full-stream check the
+/// final WireStats frame count, which the gateway publishes before
+/// Bye(kEndOfStream).
 class FrameClient {
  public:
   struct Counters {
@@ -127,6 +132,8 @@ class FrameClient {
 
  private:
   TcpConnection connect_with_backoff();
+  /// Sleeps for `wait`, returning early once stop() is called.
+  void wait_unless_stopped(Seconds wait);
 
   FrameClientConfig config_;
   Counters counters_;

@@ -344,6 +344,8 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
   scope.emplace(engine);
 
   std::vector<runtime::FrameEvent> received;
+  std::atomic<bool> drill_over{false};
+  std::atomic<bool> live_after_drill{false};
   FrameClientConfig cc;
   cc.port = server.port();
   cc.reconnect_on_protocol_error = true;
@@ -355,6 +357,9 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
     FrameClient::Callbacks callbacks;
     callbacks.on_frame = [&](const runtime::FrameEvent& event) {
       received.push_back(event);
+    };
+    callbacks.on_stats = [&](const WireStats&) {
+      if (drill_over.load()) live_after_drill.store(true);
     };
     const Bye bye = client.run(callbacks);
     EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
@@ -373,6 +378,19 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
       metric("net.client_reconnects") > reconnects_before;
   scope.reset();  // end of the drill: the wire is clean again
 
+  // A session the drill just killed can still count as a subscriber until
+  // the server reads its hang-up, while the client backs off before its
+  // redial. Publish only once a heartbeat read after the drill proves the
+  // client holds a live subscription.
+  drill_over.store(true);
+  const auto live_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!live_after_drill.load() &&
+         std::chrono::steady_clock::now() < live_deadline) {
+    server.publish_stats(runtime::RuntimeStats{});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(live_after_drill.load());
   ASSERT_TRUE(server.wait_for_subscriber(10.0));
   std::vector<runtime::FrameEvent> sent;
   for (std::uint64_t i = 0; i < 16; ++i) {

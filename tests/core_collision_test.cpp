@@ -109,10 +109,11 @@ TEST_P(SeparatorSweep, RecoversStates) {
     }
     return static_cast<double>(ok) / static_cast<double>(got.size());
   };
-  const double direct = accuracy(result->states1, data.states[0]) +
-                        accuracy(result->states2, data.states[1]);
-  const double swapped = accuracy(result->states1, data.states[1]) +
-                         accuracy(result->states2, data.states[0]);
+  ASSERT_EQ(result->states.size(), 2u);
+  const double direct = accuracy(result->states[0], data.states[0]) +
+                        accuracy(result->states[1], data.states[1]);
+  const double swapped = accuracy(result->states[0], data.states[1]) +
+                         accuracy(result->states[1], data.states[0]);
   EXPECT_GT(std::max(direct, swapped) / 2.0, 0.95)
       << "phase " << phase_deg << " ratio " << ratio;
 }
@@ -130,11 +131,13 @@ TEST(CollisionSeparator, ThreeWayRecoversAxes) {
   const auto data = synthesize({e1, e2, e3}, 1200, 0.004, rng);
   const dsp::KMeansResult fit = dsp::kmeans(data.points, 27, rng);
   const CollisionSeparator sep{SeparatorConfig{}};
-  const auto result = sep.separate_three(data.points, fit);
+  const auto result = sep.separate(data.points, fit);
   ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->vectors.size(), 3u);
+  ASSERT_EQ(result->states.size(), 3u);
   // Each recovered axis must match one true axis up to sign.
   const std::vector<Complex> truth = {e1, e2, e3};
-  for (Complex got : {result->e1, result->e2, result->e3}) {
+  for (Complex got : result->vectors) {
     double best = 1e9;
     for (const Complex& t : truth) {
       best = std::min({best, std::abs(got - t), std::abs(got + t)});
@@ -150,13 +153,13 @@ TEST(CollisionSeparator, ThreeWayRejectsTwoTagData) {
   const dsp::KMeansResult fit = dsp::kmeans(data.points, 27, rng);
   const CollisionSeparator sep{SeparatorConfig{}};
   // 27 clusters force-fit to 9-cluster data: no consistent 3-axis grid.
-  const auto result = sep.separate_three(data.points, fit);
+  const auto result = sep.separate(data.points, fit);
   if (result.has_value()) {
     // If a degenerate "third axis" sneaks through it must be tiny relative
     // to the real ones — the pipeline's anchor checks then drop it.
-    const double weakest =
-        std::min({std::abs(result->e1), std::abs(result->e2),
-                  std::abs(result->e3)});
+    ASSERT_EQ(result->vectors.size(), 3u);
+    double weakest = 1e9;
+    for (Complex v : result->vectors) weakest = std::min(weakest, std::abs(v));
     EXPECT_LT(weakest, 0.03);
   }
 }
@@ -165,18 +168,19 @@ TEST(ErrorCorrector, Joint3SeparatesThreeTags) {
   Rng rng(79);
   const Complex e1{0.11, 0.01}, e2{-0.02, 0.09}, e3{-0.07, -0.06};
   const auto data = synthesize({e1, e2, e3}, 400, 0.008, rng);
-  const std::vector<bool> all(400, true);
+  const std::vector<Complex> vectors = {e1, e2, e3};
+  const std::vector<std::vector<bool>> toggles(3,
+                                               std::vector<bool>(400, true));
   const ErrorCorrector corrector;
-  const auto joint = corrector.correct_joint3(data.points, e1, e2, e3, all,
-                                              all, all, 0.008);
+  const auto joint =
+      corrector.correct_joint(data.points, vectors, toggles, 0.008);
+  ASSERT_EQ(joint.levels.size(), 3u);
   int l[3] = {0, 0, 0};
   std::size_t ok[3] = {0, 0, 0};
-  const std::vector<bool>* levels[3] = {&joint.levels1, &joint.levels2,
-                                        &joint.levels3};
   for (std::size_t k = 0; k < 400; ++k) {
     for (int t = 0; t < 3; ++t) {
       l[t] += data.states[t][k];
-      if ((*levels[t])[k] == (l[t] != 0)) ++ok[t];
+      if (joint.levels[t][k] == (l[t] != 0)) ++ok[t];
     }
   }
   for (int t = 0; t < 3; ++t) EXPECT_GT(ok[t], 390u) << "tag " << t;
@@ -273,7 +277,7 @@ TEST(ErrorCorrector, CleanSequenceRoundTrip) {
   labels.constant = {};
   labels.states = {1, -1, 0, 1, 0, -1, 1, -1};
   const ErrorCorrector corrector;
-  EXPECT_EQ(corrector.correct(points, labels), truth);
+  EXPECT_EQ(corrector.correct_soft(points, labels, {}).bits, truth);
 }
 
 TEST(ErrorCorrector, OutputAlwaysSatisfiesEdgeConstraints) {
@@ -296,7 +300,7 @@ TEST(ErrorCorrector, OutputAlwaysSatisfiesEdgeConstraints) {
   labels.constant = {};
   labels.states = states;
   const ErrorCorrector corrector;
-  const auto bits = corrector.correct(points, labels);
+  const auto bits = corrector.correct_soft(points, labels, {}).bits;
   EXPECT_EQ(bits.size(), points.size());
   EXPECT_TRUE(bits.front());  // anchor forced rising
 }
@@ -330,7 +334,7 @@ TEST(ErrorCorrector, BeatsHardDecisionsUnderNoise) {
     labels.constant = {};
     labels.states = hard;
     const ErrorCorrector corrector;
-    const auto viterbi_bits = corrector.correct(points, labels);
+    const auto viterbi_bits = corrector.correct_soft(points, labels, {}).bits;
     for (std::size_t i = 0; i < truth.size(); ++i) {
       ++total;
       if (viterbi_bits[i] != truth[i]) ++viterbi_errors;
@@ -371,7 +375,7 @@ TEST(ErrorCorrector, LowConfidenceBoundaryIsErasedAndFilledIn) {
   labels.constant = {};
   labels.states = classify_simple(points);
   const ErrorCorrector corrector;
-  ASSERT_NE(corrector.correct(points, labels), truth)
+  ASSERT_NE(corrector.correct_soft(points, labels, {}).bits, truth)
       << "the faded edge must mislead the hard decode";
 
   std::vector<double> confidences(points.size(), 1.0);
@@ -388,18 +392,21 @@ TEST(ErrorCorrector, JointDecodeSeparatesBothTags) {
   Rng rng(9);
   const Complex e1{0.1, 0.01}, e2{-0.03, 0.09};
   const auto data = synthesize({e1, e2}, 300, 0.01, rng);
-  const std::vector<bool> toggles(300, true);
+  const std::vector<Complex> vectors = {e1, e2};
+  const std::vector<std::vector<bool>> toggles(2,
+                                               std::vector<bool>(300, true));
   const ErrorCorrector corrector;
   const auto joint =
-      corrector.correct_joint(data.points, e1, e2, toggles, toggles, 0.01);
+      corrector.correct_joint(data.points, vectors, toggles, 0.01);
+  ASSERT_EQ(joint.levels.size(), 2u);
   // Reconstruct levels from the true states.
   std::size_t ok1 = 0, ok2 = 0;
   int l1 = 0, l2 = 0;
   for (std::size_t k = 0; k < 300; ++k) {
     l1 += data.states[0][k];
     l2 += data.states[1][k];
-    if (joint.levels1[k] == (l1 != 0)) ++ok1;
-    if (joint.levels2[k] == (l2 != 0)) ++ok2;
+    if (joint.levels[0][k] == (l1 != 0)) ++ok1;
+    if (joint.levels[1][k] == (l2 != 0)) ++ok2;
   }
   EXPECT_GT(ok1, 295u);
   EXPECT_GT(ok2, 295u);
@@ -409,13 +416,14 @@ TEST(ErrorCorrector, JointRespectsToggleMask) {
   const Complex e1{0.1, 0.0}, e2{0.0, 0.1};
   // Tag 2 may only toggle at even boundaries.
   std::vector<Complex> points = {e1 + e2, -e1, e2 * 0.0, -e2};
-  std::vector<bool> t1 = {true, true, true, true};
-  std::vector<bool> t2 = {true, false, true, false};
+  const std::vector<Complex> vectors = {e1, e2};
+  const std::vector<std::vector<bool>> toggles = {{true, true, true, true},
+                                                  {true, false, true, false}};
   const ErrorCorrector corrector;
-  const auto joint = corrector.correct_joint(points, e1, e2, t1, t2, 0.01);
+  const auto joint = corrector.correct_joint(points, vectors, toggles, 0.01);
   // Tag 2's level can only change at boundaries 0 and 2.
-  EXPECT_EQ(joint.levels2[0], joint.levels2[1]);
-  EXPECT_EQ(joint.levels2[2], joint.levels2[3]);
+  EXPECT_EQ(joint.levels[1][0], joint.levels[1][1]);
+  EXPECT_EQ(joint.levels[1][2], joint.levels[1][3]);
 }
 
 }  // namespace

@@ -134,10 +134,10 @@ TEST(ErrorCorrectorDetail, EdgeProbabilityPriorBiasesHolds) {
 
   ErrorCorrector::Config hold_prior;
   hold_prior.edge_probability = 0.02;
-  const auto hold_bits = ErrorCorrector(hold_prior).correct(points, labels);
+  const auto hold_bits = ErrorCorrector(hold_prior).correct_soft(points, labels, {}).bits;
   ErrorCorrector::Config edge_prior;
   edge_prior.edge_probability = 0.98;
-  const auto edge_bits = ErrorCorrector(edge_prior).correct(points, labels);
+  const auto edge_bits = ErrorCorrector(edge_prior).correct_soft(points, labels, {}).bits;
   // Bit 1 differs between the two priors (anchor bit 0 = 1; the middle
   // observation is exactly between "stay 1" and "fall to 0 then rise").
   EXPECT_TRUE(hold_bits[1]);

@@ -846,6 +846,64 @@ TEST(FrameClient, ConnectFailureExhaustsSupervisorStyleBackoff) {
   EXPECT_EQ(cc.backoff_max, runtime::SupervisorConfig{}.retry_backoff_max);
 }
 
+TEST(FrameClient, FailedSessionsBackOffBeforeTheRedial) {
+  // An upstream that accepts every dial and answers it with a well-framed
+  // Bye whose reason byte is out of range. Under the reconnect flag every
+  // session ends in a protocol reset before its handshake completes, and no
+  // dial ever fails, so only the failed-session backoff stands between the
+  // client and a hot redial loop.
+  TcpListener listener("127.0.0.1", 0);
+  std::vector<std::uint8_t> malformed;
+  encode_bye({ByeReason::kEndOfStream, "scripted"}, malformed);
+  malformed[5] = 0xff;  // first body byte after the 5-byte header: reason
+
+  FrameClientConfig cc;
+  cc.port = listener.port();
+  cc.reconnect_on_protocol_error = true;
+  cc.backoff_seed = 11;
+  FrameClient client(cc);
+  std::thread tail([&] { client.run({}); });
+
+  // Serve one second of dials, one at a time, each read until the client
+  // hangs up: closing first, with the handshake unread, could reset the
+  // connection before the Bye arrives.
+  constexpr double kServeSeconds = 1.0;
+  std::size_t dials = 0;
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::duration<double>(kServeSeconds));
+  while (std::chrono::steady_clock::now() < until) {
+    std::vector<PollItem> items{{listener.fd(), true, false}};
+    poll_fds(items, 10);
+    FdHandle fd = listener.accept();
+    if (!fd.valid()) continue;
+    ++dials;
+    TcpConnection conn(std::move(fd));
+    write_all(conn, malformed);
+    std::uint8_t buf[4096];
+    while (std::chrono::steady_clock::now() < until) {
+      std::vector<PollItem> readable{{conn.fd(), true, false}};
+      poll_fds(readable, 10);
+      if (conn.read_some(buf, sizeof(buf)) == 0) break;
+    }
+  }
+  client.stop();
+  tail.join();
+
+  // Each wait is U[0, cap), the cap doubling from backoff_initial to
+  // backoff_max, so once the cap saturates the mean wait is backoff_max/2
+  // (25 ms by default): about 45 dials in the second, with the ramp. Twice
+  // the saturated rate plus the ramp's few dials is a bound that loopback
+  // timing cannot reach, while a client that skips the wait redials
+  // thousands of times.
+  const auto bound = static_cast<std::size_t>(
+      2.0 * kServeSeconds / (cc.backoff_max / 2.0) + 10.0);
+  EXPECT_GE(dials, 2u) << "the client must keep redialing";
+  EXPECT_LE(dials, bound);
+  EXPECT_EQ(client.counters().connects, 0u);
+  EXPECT_GE(client.counters().protocol_resets + 1, dials);
+}
+
 // --- remote IQ ingest ----------------------------------------------------
 
 signal::SampleBuffer make_noise_capture(std::size_t n, std::uint64_t seed) {
