@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/check.h"
@@ -18,22 +19,27 @@ using Combo = std::array<int, kMaxTags>;
 
 /// The 3^k combinations {-1, 0, 1}^k in lexicographic order, first
 /// component most significant. The all-constant combination sits in the
-/// middle, at index 3^k / 2.
-std::vector<Combo> combinations(std::size_t k) {
-  std::vector<Combo> out(1, Combo{});
-  for (std::size_t t = 0; t < k; ++t) {
-    std::vector<Combo> longer;
-    longer.reserve(3 * out.size());
-    for (const Combo& c : out) {
-      for (int v = -1; v <= 1; ++v) {
-        Combo d = c;
-        d[t] = v;
-        longer.push_back(d);
+/// middle, at index 3^k / 2. Built once per k.
+const std::vector<Combo>& combinations(std::size_t k) {
+  const auto build = [](std::size_t n) {
+    std::vector<Combo> out(1, Combo{});
+    for (std::size_t t = 0; t < n; ++t) {
+      std::vector<Combo> longer;
+      longer.reserve(3 * out.size());
+      for (const Combo& c : out) {
+        for (int v = -1; v <= 1; ++v) {
+          Combo d = c;
+          d[t] = v;
+          longer.push_back(d);
+        }
       }
+      out.swap(longer);
     }
-    out.swap(longer);
-  }
-  return out;
+    return out;
+  };
+  static const std::vector<Combo> two = build(2);
+  static const std::vector<Combo> three = build(3);
+  return k == 2 ? two : three;
 }
 
 /// origin + c1·e1 + … + ck·ek.
@@ -60,33 +66,55 @@ double cross(Complex u, Complex v) {
 }
 
 /// Greedy one-to-one matching of centroids to grid points, closest pairs
-/// first. Returns the largest matched distance, or infinity when a
-/// bijection cannot be formed.
+/// first, over the pairs no farther apart than `cap`. Returns the largest
+/// matched distance, or infinity when no bijection forms within `cap`.
+/// Every match of the unbounded greedy whose largest distance is at most
+/// `cap` uses only such pairs, taken in the same order, so for those the
+/// result is the same double.
 double match_quality(std::span<const Complex> centroids,
-                     std::span<const Complex> grid) {
+                     std::span<const Complex> grid, double cap) {
+  constexpr std::size_t kMaxPoints = 27;
+  LFBS_CHECK(centroids.size() <= kMaxPoints && grid.size() <= kMaxPoints);
   struct Entry {
     double d;
-    std::size_t centroid;
-    std::size_t point;
+    std::uint8_t centroid;
+    std::uint8_t point;
   };
-  std::vector<Entry> entries;
-  entries.reserve(centroids.size() * grid.size());
+  // Only entries[0, n) is ever written or read.
+  std::array<Entry, kMaxPoints * kMaxPoints> entries;
+  std::size_t n = 0;
+  // A cheap squared-distance screen with slack for rounding, then the
+  // exact distance, so the kept distances equal the unbounded ones.
+  const double screen = cap * cap * (1.0 + 1e-9);
+  std::uint32_t points_reached = 0;
   for (std::size_t i = 0; i < centroids.size(); ++i) {
+    const std::size_t row = n;
     for (std::size_t j = 0; j < grid.size(); ++j) {
-      entries.push_back({std::abs(centroids[i] - grid[j]), i, j});
+      const Complex diff = centroids[i] - grid[j];
+      if (!(std::norm(diff) <= screen)) continue;
+      const double d = std::abs(diff);
+      if (!(d <= cap)) continue;
+      entries[n++] = {d, static_cast<std::uint8_t>(i),
+                      static_cast<std::uint8_t>(j)};
+      points_reached |= 1u << j;
     }
+    if (n == row) return std::numeric_limits<double>::infinity();
   }
-  std::sort(entries.begin(), entries.end(),
+  if (points_reached != (1u << grid.size()) - 1) {
+    return std::numeric_limits<double>::infinity();
+  }
+  std::sort(entries.begin(), entries.begin() + n,
             [](const Entry& a, const Entry& b) { return a.d < b.d; });
-  std::vector<bool> centroid_used(centroids.size(), false);
-  std::vector<bool> point_used(grid.size(), false);
+  std::array<bool, kMaxPoints> centroid_used{};
+  std::array<bool, kMaxPoints> point_used{};
   std::size_t matched = 0;
   double worst = 0.0;
-  for (const Entry& e : entries) {
-    if (centroid_used[e.centroid] || point_used[e.point]) continue;
-    centroid_used[e.centroid] = true;
-    point_used[e.point] = true;
-    worst = std::max(worst, e.d);
+  for (std::size_t e = 0; e < n; ++e) {
+    const Entry& entry = entries[e];
+    if (centroid_used[entry.centroid] || point_used[entry.point]) continue;
+    centroid_used[entry.centroid] = true;
+    point_used[entry.point] = true;
+    worst = std::max(worst, entry.d);
     if (++matched == centroids.size()) break;
   }
   if (matched != centroids.size()) {
@@ -130,24 +158,15 @@ std::optional<Separation> CollisionSeparator::separate(
   for (const Complex& c : outer) strongest = std::max(strongest, std::abs(c));
   if (strongest <= 0.0) return std::nullopt;
 
-  // Every candidate set of edge vectors is scored by how well its full grid
-  // matches the centroids; the best match wins.
-  const std::vector<Combo> combos = combinations(k);
-  std::vector<Complex> grid(combos.size());
-  double best_quality = std::numeric_limits<double>::infinity();
-  Axes best{};
+  // Candidate sets of edge vectors are collected first; each is then scored
+  // by how well its full grid matches the centroids, and the first best
+  // match wins.
+  const std::vector<Combo>& combos = combinations(k);
+  std::vector<Axes> candidates;
   const auto consider = [&](const Axes& axes) {
     if (weakest_of(axes, k) < config_.min_edge_fraction * strongest) return;
-    for (std::size_t j = 0; j < combos.size(); ++j) {
-      grid[j] = grid_point(Complex{}, combos[j], axes, k);
-    }
-    const double q = match_quality(shifted, grid);
-    if (q < best_quality) {
-      best_quality = q;
-      best = axes;
-    }
+    candidates.push_back(axes);
   };
-
   if (k == 2) {
     // Paper construction: find equally spaced collinear triples among the
     // 8 outer centroids — the parallelogram sides — whose midpoints are
@@ -183,9 +202,10 @@ std::optional<Separation> CollisionSeparator::separate(
         consider_pair(outer[midpoints[a].index], outer[midpoints[b].index]);
       }
     }
-    // Fallback: exhaustive hypothesis over all outer centroid pairs. This
-    // covers noisy fits where a side midpoint was smeared out of tolerance.
-    if (!std::isfinite(best_quality)) {
+    // Fallback: exhaustive hypothesis over all outer centroid pairs, when
+    // no midpoint pair made a candidate. This covers noisy fits where a
+    // side midpoint was smeared out of tolerance.
+    if (candidates.empty()) {
       for (std::size_t a = 0; a < outer.size(); ++a) {
         for (std::size_t b = a + 1; b < outer.size(); ++b) {
           consider_pair(outer[a], outer[b]);
@@ -222,6 +242,28 @@ std::optional<Separation> CollisionSeparator::separate(
           consider({e1, e2, e3});
         }
       }
+    }
+  }
+
+  // A candidate wins only with a quality strictly below the best so far,
+  // and the winner passes only when its quality is at most
+  // match_tolerance × its weakest axis. So no quality above the largest
+  // such gate can change the result, and each score is capped there.
+  std::vector<Complex> grid(combos.size());
+  double best_quality = std::numeric_limits<double>::infinity();
+  Axes best{};
+  double gate = 0.0;
+  for (const Axes& axes : candidates) {
+    gate = std::max(gate, config_.match_tolerance * weakest_of(axes, k));
+  }
+  for (const Axes& axes : candidates) {
+    for (std::size_t j = 0; j < combos.size(); ++j) {
+      grid[j] = grid_point(Complex{}, combos[j], axes, k);
+    }
+    const double q = match_quality(shifted, grid, std::min(best_quality, gate));
+    if (q < best_quality) {
+      best_quality = q;
+      best = axes;
     }
   }
   if (!std::isfinite(best_quality)) return std::nullopt;

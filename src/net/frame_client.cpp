@@ -84,7 +84,7 @@ Bye FrameClient::run(const Callbacks& callbacks) {
   std::size_t admission_retries_left = config_.max_admission_retries;
   // Cap of the full-jitter wait after a failed session: doubles on each
   // consecutive failure up to backoff_max, back to backoff_initial once a
-  // handshake completes.
+  // session delivers a well-formed Frame, Stats, ControlPlan or Bye.
   Seconds redial_cap = config_.backoff_initial;
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) {
@@ -166,7 +166,6 @@ Bye FrameClient::run(const Callbacks& callbacks) {
                   obs::metrics().counter("net.client_reconnects").add();
                 }
                 ever_connected = true;
-                redial_cap = config_.backoff_initial;
               }
               break;
             }
@@ -197,6 +196,12 @@ Bye FrameClient::run(const Callbacks& callbacks) {
             default:
               throw WireFormatError(WireError::kMalformed,
                                     "unexpected message from server");
+          }
+          // A well-formed message past the handshake shows a working
+          // session; an acked handshake alone does not, so it leaves the
+          // redial backoff where it is.
+          if (message->type != MsgType::kAck) {
+            redial_cap = config_.backoff_initial;
           }
           if (end.got_bye) break;
         }

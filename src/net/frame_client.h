@@ -76,8 +76,9 @@ struct FrameClientConfig {
 /// backoff and resubscribes, counting the reconnect. A session that died
 /// before its handshake completed, or ended in a protocol reset, also waits
 /// one full-jitter draw before the redial, its cap doubling per consecutive
-/// failed session up to backoff_max and reset by a completed handshake: a
-/// server that accepts and then misbehaves is never redialed in a hot
+/// failed session up to backoff_max and reset once a session delivers a
+/// well-formed message past the handshake: a server that accepts, even
+/// acks the handshake, and then misbehaves is never redialed in a hot
 /// loop. A reconnect can miss frames published while disconnected;
 /// subscribers that set SubscribeFilter::replay_recent against a server
 /// with a replay ring heal the gap (deduping the overlap by frame

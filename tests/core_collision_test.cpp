@@ -2,7 +2,15 @@
 // and the Viterbi error corrector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "core/bit_decoder.h"
 #include "core/collision_detector.h"
@@ -12,6 +20,256 @@
 
 namespace lfbs::core {
 namespace {
+
+/// The separator as it was before its candidate search was capped at the
+/// match gate: every candidate's grid fully matched and sorted, and the
+/// all-pairs K = 2 fallback taken while no finite match exists. The capped
+/// search must return exactly what this returns.
+namespace reference {
+
+/// The separator handles collisions of up to three tags (27 clusters).
+constexpr std::size_t kMaxTags = 3;
+using Axes = std::array<Complex, kMaxTags>;
+using Combo = std::array<int, kMaxTags>;
+
+/// The 3^k combinations {-1, 0, 1}^k in lexicographic order, first
+/// component most significant. The all-constant combination sits in the
+/// middle, at index 3^k / 2.
+std::vector<Combo> combinations(std::size_t k) {
+  std::vector<Combo> out(1, Combo{});
+  for (std::size_t t = 0; t < k; ++t) {
+    std::vector<Combo> longer;
+    longer.reserve(3 * out.size());
+    for (const Combo& c : out) {
+      for (int v = -1; v <= 1; ++v) {
+        Combo d = c;
+        d[t] = v;
+        longer.push_back(d);
+      }
+    }
+    out.swap(longer);
+  }
+  return out;
+}
+
+/// origin + c1·e1 + … + ck·ek.
+Complex grid_point(Complex origin, const Combo& c, const Axes& axes,
+                   std::size_t k) {
+  Complex p = origin;
+  for (std::size_t t = 0; t < k; ++t) {
+    p += static_cast<double>(c[t]) * axes[t];
+  }
+  return p;
+}
+
+double weakest_of(const Axes& axes, std::size_t k) {
+  double weakest = std::abs(axes[0]);
+  for (std::size_t t = 1; t < k; ++t) {
+    weakest = std::min(weakest, std::abs(axes[t]));
+  }
+  return weakest;
+}
+
+/// |u × v|: zero for collinear vectors.
+double cross(Complex u, Complex v) {
+  return std::abs(u.real() * v.imag() - u.imag() * v.real());
+}
+
+/// Greedy one-to-one matching of centroids to grid points, closest pairs
+/// first. Returns the largest matched distance, or infinity when a
+/// bijection cannot be formed.
+double match_quality(std::span<const Complex> centroids,
+                     std::span<const Complex> grid) {
+  struct Entry {
+    double d;
+    std::size_t centroid;
+    std::size_t point;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(centroids.size() * grid.size());
+  for (std::size_t i = 0; i < centroids.size(); ++i) {
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      entries.push_back({std::abs(centroids[i] - grid[j]), i, j});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.d < b.d; });
+  std::vector<bool> centroid_used(centroids.size(), false);
+  std::vector<bool> point_used(grid.size(), false);
+  std::size_t matched = 0;
+  double worst = 0.0;
+  for (const Entry& e : entries) {
+    if (centroid_used[e.centroid] || point_used[e.point]) continue;
+    centroid_used[e.centroid] = true;
+    point_used[e.point] = true;
+    worst = std::max(worst, e.d);
+    if (++matched == centroids.size()) break;
+  }
+  if (matched != centroids.size()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return worst;
+}
+
+std::optional<Separation> separate(const SeparatorConfig& config_,
+                                   std::span<const Complex> points,
+                                   const dsp::KMeansResult& fit) {
+  const auto& centroids = fit.centroids;
+  const std::size_t k =
+      centroids.size() == 9 ? 2 : (centroids.size() == 27 ? 3 : 0);
+  if (k == 0 || points.empty()) return std::nullopt;
+
+  // Origin cluster: the centroid nearest zero (every tag constant).
+  std::size_t origin = 0;
+  for (std::size_t i = 1; i < centroids.size(); ++i) {
+    if (std::abs(centroids[i]) < std::abs(centroids[origin])) origin = i;
+  }
+  // Work in origin-relative coordinates so residual receiver offsets do not
+  // bias the grid matching.
+  std::vector<Complex> shifted(centroids.size());
+  for (std::size_t i = 0; i < centroids.size(); ++i) {
+    shifted[i] = centroids[i] - centroids[origin];
+  }
+  std::vector<Complex> outer;
+  outer.reserve(centroids.size() - 1);
+  for (std::size_t i = 0; i < shifted.size(); ++i) {
+    if (i != origin) outer.push_back(shifted[i]);
+  }
+  double strongest = 0.0;
+  for (const Complex& c : outer) strongest = std::max(strongest, std::abs(c));
+  if (strongest <= 0.0) return std::nullopt;
+
+  // Every candidate set of edge vectors is scored by how well its full grid
+  // matches the centroids; the best match wins.
+  const std::vector<Combo> combos = combinations(k);
+  std::vector<Complex> grid(combos.size());
+  double best_quality = std::numeric_limits<double>::infinity();
+  Axes best{};
+  const auto consider = [&](const Axes& axes) {
+    if (weakest_of(axes, k) < config_.min_edge_fraction * strongest) return;
+    for (std::size_t j = 0; j < combos.size(); ++j) {
+      grid[j] = grid_point(Complex{}, combos[j], axes, k);
+    }
+    const double q = match_quality(shifted, grid);
+    if (q < best_quality) {
+      best_quality = q;
+      best = axes;
+    }
+  };
+
+  if (k == 2) {
+    // Paper construction: find equally spaced collinear triples among the
+    // 8 outer centroids — the parallelogram sides — whose midpoints are
+    // ±e1/±e2.
+    struct Midpoint {
+      std::size_t index;  ///< into `outer`
+      double error;       ///< |centroid - geometric midpoint| / pair span
+    };
+    std::vector<Midpoint> midpoints;
+    for (std::size_t i = 0; i < outer.size(); ++i) {
+      for (std::size_t j = i + 1; j < outer.size(); ++j) {
+        const Complex mid = (outer[i] + outer[j]) * 0.5;
+        const double span = std::abs(outer[i] - outer[j]);
+        if (span <= 0.0) continue;
+        for (std::size_t m = 0; m < outer.size(); ++m) {
+          if (m == i || m == j) continue;
+          const double err = std::abs(outer[m] - mid) / span;
+          if (err <= config_.midpoint_tolerance) midpoints.push_back({m, err});
+        }
+      }
+    }
+    std::sort(midpoints.begin(), midpoints.end(),
+              [](const Midpoint& a, const Midpoint& b) {
+                return a.error < b.error;
+              });
+    const auto consider_pair = [&](Complex e1, Complex e2) {
+      // Skip near-collinear candidates (degenerate parallelogram).
+      if (cross(e1, e2) < 0.05 * std::abs(e1) * std::abs(e2)) return;
+      consider({e1, e2, Complex{}});
+    };
+    for (std::size_t a = 0; a < midpoints.size(); ++a) {
+      for (std::size_t b = a + 1; b < midpoints.size(); ++b) {
+        consider_pair(outer[midpoints[a].index], outer[midpoints[b].index]);
+      }
+    }
+    // Fallback: exhaustive hypothesis over all outer centroid pairs. This
+    // covers noisy fits where a side midpoint was smeared out of tolerance.
+    if (!std::isfinite(best_quality)) {
+      for (std::size_t a = 0; a < outer.size(); ++a) {
+        for (std::size_t b = a + 1; b < outer.size(); ++b) {
+          consider_pair(outer[a], outer[b]);
+        }
+      }
+    }
+  } else {
+    // The axis vectors are themselves outer centroids, and never the
+    // largest grid points: try triples of the 12 smallest.
+    std::vector<std::size_t> order(outer.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::abs(outer[a]) < std::abs(outer[b]);
+    });
+    const std::size_t pool = std::min<std::size_t>(order.size(), 12);
+    for (std::size_t x = 0; x < pool; ++x) {
+      for (std::size_t y = x + 1; y < pool; ++y) {
+        for (std::size_t z = y + 1; z < pool; ++z) {
+          const Complex e1 = outer[order[x]];
+          const Complex e2 = outer[order[y]];
+          const Complex e3 = outer[order[z]];
+          // Pairwise conditioning: near-collinear axes are inseparable.
+          if (cross(e1, e2) < 0.1 * std::abs(e1) * std::abs(e2) ||
+              cross(e1, e3) < 0.1 * std::abs(e1) * std::abs(e3) ||
+              cross(e2, e3) < 0.1 * std::abs(e2) * std::abs(e3)) {
+            continue;
+          }
+          // Antipodal pairs are the same axis.
+          if (std::abs(e1 + e2) < 0.2 * std::abs(e1) ||
+              std::abs(e1 + e3) < 0.2 * std::abs(e1) ||
+              std::abs(e2 + e3) < 0.2 * std::abs(e2)) {
+            continue;
+          }
+          consider({e1, e2, e3});
+        }
+      }
+    }
+  }
+  if (!std::isfinite(best_quality)) return std::nullopt;
+  const double weakest = weakest_of(best, k);
+  if (best_quality > config_.match_tolerance * weakest) return std::nullopt;
+
+  // Classify every boundary point against the recovered grid. Points are
+  // classified directly (not via their k-means cluster) so a slightly wrong
+  // cluster boundary does not propagate.
+  const Complex offset = centroids[origin];
+  for (std::size_t j = 0; j < combos.size(); ++j) {
+    grid[j] = grid_point(offset, combos[j], best, k);
+  }
+  Separation result;
+  result.vectors.assign(best.begin(), best.begin() + k);
+  result.states.resize(k);
+  for (std::vector<EdgeState>& s : result.states) s.reserve(points.size());
+  double residual_sum = 0.0;
+  for (const Complex& p : points) {
+    double best_d = std::numeric_limits<double>::infinity();
+    std::size_t best_j = combos.size() / 2;
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      const double d = std::abs(p - grid[j]);
+      if (d < best_d) {
+        best_d = d;
+        best_j = j;
+      }
+    }
+    for (std::size_t t = 0; t < k; ++t) {
+      result.states[t].push_back(combos[best_j][t]);
+    }
+    residual_sum += best_d;
+  }
+  result.residual =
+      residual_sum / (static_cast<double>(points.size()) * weakest);
+  return result;
+}
+
+}  // namespace reference
 
 /// Synthesizes boundary differentials for `colliders` tags with the given
 /// edge vectors: each boundary draws independent levels per tag.
@@ -209,6 +467,155 @@ TEST(CollisionSeparator, RejectsWrongClusterCount) {
   const dsp::KMeansResult fit = dsp::kmeans(points, 2, rng);
   const CollisionSeparator sep{SeparatorConfig{}};
   EXPECT_FALSE(sep.separate(points, fit).has_value());
+}
+
+/// One seeded separator input: a fit's centroids, built directly rather
+/// than by k-means, and a few boundary points around them.
+struct SeparatorCase {
+  std::vector<Complex> points;
+  dsp::KMeansResult fit;
+};
+
+Complex random_axis(Rng& rng) {
+  return std::polar(rng.uniform(0.02, 0.2), rng.uniform(-M_PI, M_PI));
+}
+
+/// The 3^k grid of `axes` around `offset`, each centroid moved by up to
+/// `noise` × the weakest axis, in shuffled order as k-means returns it.
+std::vector<Complex> noisy_grid(const std::vector<Complex>& axes,
+                                Complex offset, double noise, Rng& rng) {
+  double weakest = std::abs(axes[0]);
+  for (const Complex& e : axes) weakest = std::min(weakest, std::abs(e));
+  std::vector<Complex> out(1, offset);
+  for (const Complex& e : axes) {
+    std::vector<Complex> longer;
+    for (const Complex& c : out) {
+      for (int v = -1; v <= 1; ++v) longer.push_back(c + double(v) * e);
+    }
+    out.swap(longer);
+  }
+  for (Complex& c : out) {
+    c += std::polar(rng.uniform(0.0, noise) * weakest,
+                    rng.uniform(-M_PI, M_PI));
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.uniform_u64(i)]);
+  }
+  return out;
+}
+
+/// Case `n` of the equivalence sweep: K = 3 for every fourth case, else
+/// K = 2. The shapes cycle: true 2- and 3-tag
+/// grids with noise up to 0.4 of the weakest edge, near-collinear and
+/// near-antipodal axes around the conditioning thresholds, duplicated
+/// centroids, an all-zero fit, a best match exactly on the match gate,
+/// random clouds, and grids so noisy that every candidate is over the
+/// match gate.
+SeparatorCase separator_case(std::size_t n, Rng& rng) {
+  const std::size_t k = n % 4 == 3 ? 3 : 2;
+  const Complex offset{rng.gaussian(0.0, 0.01), rng.gaussian(0.0, 0.01)};
+  std::vector<Complex> axes;
+  for (std::size_t t = 0; t < k; ++t) axes.push_back(random_axis(rng));
+  SeparatorCase c;
+  std::vector<Complex>& centroids = c.fit.centroids;
+  switch ((n / 4) % 8) {
+    case 0:
+      centroids = noisy_grid(axes, offset, rng.uniform(0.0, 0.4), rng);
+      break;
+    case 1:
+      centroids = noisy_grid(axes, offset, rng.uniform(0.0, 0.1), rng);
+      break;
+    case 2:  // a second axis nearly along the first
+      axes[1] = axes[0] * std::polar(rng.uniform(0.5, 1.5),
+                                     rng.uniform(-0.2, 0.2));
+      centroids = noisy_grid(axes, offset, rng.uniform(0.0, 0.2), rng);
+      break;
+    case 3:  // a second axis nearly opposite the first
+      axes[1] = -axes[0] * std::polar(rng.uniform(0.7, 1.3),
+                                      rng.uniform(-0.4, 0.4));
+      centroids = noisy_grid(axes, offset, rng.uniform(0.0, 0.2), rng);
+      break;
+    case 4: {  // exact copies of centroids over others
+      centroids = noisy_grid(axes, offset, rng.uniform(0.0, 0.3), rng);
+      const std::size_t copies = 1 + rng.uniform_u64(3);
+      for (std::size_t i = 0; i < copies; ++i) {
+        centroids[rng.uniform_u64(centroids.size())] =
+            centroids[rng.uniform_u64(centroids.size())];
+      }
+      break;
+    }
+    case 5:
+      if ((n / 32) % 16 == 0) {
+        centroids.assign(k == 2 ? 9 : 27, Complex{});
+      } else if ((n / 32) % 16 == 1) {
+        // Exact binary fractions put the best match exactly on the gate,
+        // match_tolerance × the weakest axis = 0.25: one centroid sits 0.25
+        // from its grid point.
+        axes = {{0.5, 0.0}, {0.0, 0.5}, {0.375, 0.5}};
+        axes.resize(k);
+        centroids = noisy_grid(axes, Complex{}, 0.0, rng);
+        for (Complex& centroid : centroids) {
+          if (centroid == Complex{0.5, 0.5}) centroid += 0.25;
+        }
+      } else {
+        centroids = noisy_grid(axes, offset, rng.uniform(0.3, 0.6), rng);
+      }
+      break;
+    case 6:
+      for (std::size_t i = 0; i < (k == 2 ? 9u : 27u); ++i) {
+        centroids.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1)});
+      }
+      break;
+    default:
+      centroids = noisy_grid(axes, offset, rng.uniform(0.8, 2.0), rng);
+      break;
+  }
+  for (const Complex& centroid : centroids) {
+    for (int i = 0; i < 2; ++i) {
+      c.points.push_back(centroid + Complex{rng.gaussian(0.0, 0.01),
+                                            rng.gaussian(0.0, 0.01)});
+    }
+  }
+  return c;
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(CollisionSeparator, CappedSearchMatchesTheFullSearch) {
+  Rng rng(2026);
+  const SeparatorConfig config;
+  const CollisionSeparator sep{config};
+  std::array<std::size_t, 4> resolved{};  // by K
+  std::array<std::size_t, 4> rejected{};
+  for (std::size_t n = 0; n < 2048; ++n) {
+    const SeparatorCase c = separator_case(n, rng);
+    const std::size_t k = c.fit.centroids.size() == 9 ? 2 : 3;
+    const auto want = reference::separate(config, c.points, c.fit);
+    const auto got = sep.separate(c.points, c.fit);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "case " << n;
+    if (!want) {
+      ++rejected[k];
+      continue;
+    }
+    ++resolved[k];
+    ASSERT_EQ(got->vectors.size(), want->vectors.size()) << "case " << n;
+    for (std::size_t t = 0; t < want->vectors.size(); ++t) {
+      EXPECT_EQ(bits_of(got->vectors[t].real()),
+                bits_of(want->vectors[t].real()))
+          << "case " << n;
+      EXPECT_EQ(bits_of(got->vectors[t].imag()),
+                bits_of(want->vectors[t].imag()))
+          << "case " << n;
+    }
+    EXPECT_EQ(got->states, want->states) << "case " << n;
+    EXPECT_EQ(bits_of(got->residual), bits_of(want->residual))
+        << "case " << n;
+  }
+  // Both outcomes are well represented for both K.
+  EXPECT_GT(resolved[2], 300u);
+  EXPECT_GT(rejected[2], 300u);
+  EXPECT_GT(resolved[3], 30u);
+  EXPECT_GT(rejected[3], 300u);
 }
 
 TEST(BitDecoder, LabelsThreeClustersWithAnchor) {

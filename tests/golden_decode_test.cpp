@@ -12,12 +12,22 @@
 // least-squares refit and the 4-state joint Viterbi; seed 38 fails a 3-way
 // separation and falls to the 9-cluster refit; seeds 38, 56 and 115 split
 // an over-merged group at its residual gap.
+//
+// One few-tag capture pins the fallback ladder: a single tag at 7 dB SNR
+// that no primary pass decodes, which only the serial windowed decoder's
+// whole-capture rescue recovers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "channel/channel_model.h"
+#include "channel/noise.h"
 #include "core/lf_decoder.h"
+#include "core/windowed_decoder.h"
+#include "protocol/frame.h"
+#include "reader/receiver.h"
 #include "sim/scenario.h"
+#include "tag/tag.h"
 
 namespace lfbs {
 namespace {
@@ -103,6 +113,55 @@ TEST(GoldenDecode, SixteenTagEpochsMatchTheirDigests) {
     EXPECT_EQ(d.fallback_recoveries, g.diagnostics.fallback_recoveries)
         << "seed " << g.seed;
   }
+}
+
+/// One tag at 5 Msps streaming `frames` frames at `snr_db`, the
+/// fallback-ladder capture of the window pipeline tests.
+signal::SampleBuffer low_snr_capture(std::uint64_t seed, double snr_db,
+                                     int frames) {
+  Rng rng(seed);
+  const Complex h{0.08, 0.06};
+  reader::ReceiverConfig rc;
+  rc.sample_rate = 5.0 * kMsps;
+  rc.noise_power = channel::noise_power_for_snr(std::norm(h), snr_db);
+  channel::ChannelModel ch;
+  ch.add_tag(h);
+  reader::Receiver receiver(rc, ch);
+  protocol::FrameConfig fc;
+  std::vector<std::vector<bool>> bits;
+  for (int f = 0; f < frames; ++f) {
+    bits.push_back(protocol::build_frame(rng.bits(fc.payload_bits), fc));
+  }
+  tag::TagConfig tc;
+  tag::Tag tag(tc, rng);
+  const Seconds duration = frames * 113.0 / tc.rate + 1e-3;
+  const std::vector<signal::StateTimeline> timelines{
+      tag.transmit_epoch(bits, duration, rng).timeline};
+  return receiver.receive_epoch(timelines, duration, rng);
+}
+
+TEST(GoldenDecode, LowSnrCaptureOnlyTheFallbackLadderRescues) {
+  const core::DecodeResult r = core::WindowedDecoder({}).decode(
+      low_snr_capture(77, 7.0, 40));
+  const core::DecodeDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(digest_of(r), 0x11e4211603a5192full);
+  EXPECT_GT(d.fallback_passes, 0u);
+  EXPECT_FALSE(r.valid_payloads().empty());
+  bool rescued = false;
+  for (const core::DecodedStream& stream : r.streams) {
+    rescued |= stream.confidence.stage != core::FallbackStage::kPrimary;
+  }
+  EXPECT_TRUE(rescued);
+  // {edges, groups, collision_groups, unresolved_groups, erasures,
+  //  fallback_passes, fallback_recoveries}
+  const core::DecodeDiagnostics kCounts{289, 1, 0, 0, 0, 4, 1};
+  EXPECT_EQ(d.edges, kCounts.edges);
+  EXPECT_EQ(d.groups, kCounts.groups);
+  EXPECT_EQ(d.collision_groups, kCounts.collision_groups);
+  EXPECT_EQ(d.unresolved_groups, kCounts.unresolved_groups);
+  EXPECT_EQ(d.erasures, kCounts.erasures);
+  EXPECT_EQ(d.fallback_passes, kCounts.fallback_passes);
+  EXPECT_EQ(d.fallback_recoveries, kCounts.fallback_recoveries);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "channel/channel_model.h"
 #include "core/windowed_decoder.h"
@@ -846,6 +848,35 @@ TEST(FrameClient, ConnectFailureExhaustsSupervisorStyleBackoff) {
   EXPECT_EQ(cc.backoff_max, runtime::SupervisorConfig{}.retry_backoff_max);
 }
 
+/// Answers every dial on `listener` with `reply`, one dial at a time, for
+/// `seconds`, and returns the number of dials. Each connection is read
+/// until the client hangs up: closing first, with the handshake unread,
+/// could reset the connection before the reply arrives.
+std::size_t serve_scripted_dials(TcpListener& listener,
+                                 const std::vector<std::uint8_t>& reply,
+                                 double seconds) {
+  std::size_t dials = 0;
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::duration<double>(seconds));
+  while (std::chrono::steady_clock::now() < until) {
+    std::vector<PollItem> items{{listener.fd(), true, false}};
+    poll_fds(items, 10);
+    FdHandle fd = listener.accept();
+    if (!fd.valid()) continue;
+    ++dials;
+    TcpConnection conn(std::move(fd));
+    write_all(conn, reply);
+    std::uint8_t buf[4096];
+    while (std::chrono::steady_clock::now() < until) {
+      std::vector<PollItem> readable{{conn.fd(), true, false}};
+      poll_fds(readable, 10);
+      if (conn.read_some(buf, sizeof(buf)) == 0) break;
+    }
+  }
+  return dials;
+}
+
 TEST(FrameClient, FailedSessionsBackOffBeforeTheRedial) {
   // An upstream that accepts every dial and answers it with a well-framed
   // Bye whose reason byte is out of range. Under the reconnect flag every
@@ -863,30 +894,9 @@ TEST(FrameClient, FailedSessionsBackOffBeforeTheRedial) {
   cc.backoff_seed = 11;
   FrameClient client(cc);
   std::thread tail([&] { client.run({}); });
-
-  // Serve one second of dials, one at a time, each read until the client
-  // hangs up: closing first, with the handshake unread, could reset the
-  // connection before the Bye arrives.
   constexpr double kServeSeconds = 1.0;
-  std::size_t dials = 0;
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::duration<double>(kServeSeconds));
-  while (std::chrono::steady_clock::now() < until) {
-    std::vector<PollItem> items{{listener.fd(), true, false}};
-    poll_fds(items, 10);
-    FdHandle fd = listener.accept();
-    if (!fd.valid()) continue;
-    ++dials;
-    TcpConnection conn(std::move(fd));
-    write_all(conn, malformed);
-    std::uint8_t buf[4096];
-    while (std::chrono::steady_clock::now() < until) {
-      std::vector<PollItem> readable{{conn.fd(), true, false}};
-      poll_fds(readable, 10);
-      if (conn.read_some(buf, sizeof(buf)) == 0) break;
-    }
-  }
+  const std::size_t dials =
+      serve_scripted_dials(listener, malformed, kServeSeconds);
   client.stop();
   tail.join();
 
@@ -901,6 +911,42 @@ TEST(FrameClient, FailedSessionsBackOffBeforeTheRedial) {
   EXPECT_GE(dials, 2u) << "the client must keep redialing";
   EXPECT_LE(dials, bound);
   EXPECT_EQ(client.counters().connects, 0u);
+  EXPECT_GE(client.counters().protocol_resets + 1, dials);
+}
+
+TEST(FrameClient, AnAckedHandshakeAloneDoesNotResetTheBackoff) {
+  // An upstream that completes every handshake, acking the hello and the
+  // subscribe, and then sends a message of unknown type. Each session
+  // ends in a protocol reset right after a good handshake, so the backoff
+  // must keep growing across such sessions rather than restart at
+  // backoff_initial (1 ms) with every one.
+  TcpListener listener("127.0.0.1", 0);
+  std::vector<std::uint8_t> reply;
+  encode_ack({}, reply);
+  encode_ack({}, reply);
+  const std::uint8_t unknown_type[] = {0x7f, 0, 0, 0, 0};
+  reply.insert(reply.end(), std::begin(unknown_type), std::end(unknown_type));
+
+  FrameClientConfig cc;
+  cc.port = listener.port();
+  cc.reconnect_on_protocol_error = true;
+  cc.backoff_seed = 11;
+  FrameClient client(cc);
+  std::thread tail([&] { client.run({}); });
+  constexpr double kServeSeconds = 1.0;
+  const std::size_t dials = serve_scripted_dials(listener, reply, kServeSeconds);
+  client.stop();
+  tail.join();
+
+  // Once the cap saturates at backoff_max the mean wait is backoff_max/2:
+  // about 45 dials in the second with the ramp. 1.25 times the saturated
+  // rate plus the ramp's few dials (60 by default) leaves loopback timing
+  // room, while a cap reset by each handshake redials about 1 500 times.
+  const auto bound = static_cast<std::size_t>(
+      1.25 * kServeSeconds / (cc.backoff_max / 2.0) + 10.0);
+  EXPECT_GE(dials, 2u) << "the client must keep redialing";
+  EXPECT_LE(dials, bound);
+  EXPECT_GE(client.counters().connects + 1, dials);
   EXPECT_GE(client.counters().protocol_resets + 1, dials);
 }
 
