@@ -23,8 +23,8 @@ struct FleetTrackerConfig {
   double alpha = 0.35;
   /// Epochs a tag may go unseen before it is forgotten (left range).
   std::uint64_t forget_after = 16;
-  /// Edge-vector matching tolerance for the session path — the same
-  /// polarity-tolerant identity metric reader::HealthLedger uses.
+  /// Edge-vector matching tolerance for the session path, in
+  /// core::edge_vector_distance (the metric reader::HealthLedger uses).
   double vector_tolerance = 0.35;
 };
 
@@ -101,8 +101,6 @@ class FleetTracker {
     Complex edge_vector{};
   };
 
-  /// Polarity-tolerant relative distance between two edge vectors.
-  double vector_distance(Complex a, Complex b) const;
   /// Finds the tag whose stored edge vector matches, or allocates a key.
   std::uint64_t key_for_vector_locked(Complex edge_vector);
 

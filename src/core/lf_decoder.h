@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -93,6 +95,15 @@ struct DecodedStream {
   /// separation, erasures, and which fallback rung produced this stream.
   DecodeConfidence confidence{};
 };
+
+/// Polarity-tolerant identity metric for edge vectors: the distance of `a`
+/// from `ref` or from −`ref`, whichever is nearer, relative to |ref|. A
+/// decode can recover a tag with its levels flipped, which negates the
+/// vector. reader::HealthLedger and control::FleetTracker match tags by it.
+inline double edge_vector_distance(Complex a, Complex ref) {
+  return std::min(std::abs(a - ref), std::abs(a + ref)) /
+         std::max(std::abs(ref), 1e-12);
+}
 
 struct DecodeDiagnostics {
   std::size_t edges = 0;              ///< edges detected

@@ -46,12 +46,7 @@ HealthEntry* HealthLedger::match(Complex edge_vector) {
   HealthEntry* best = nullptr;
   double best_dist = config_.vector_tolerance;
   for (HealthEntry& e : entries_) {
-    const double scale = std::max(std::abs(e.edge_vector), 1e-12);
-    // Polarity-tolerant: a decode can recover the same tag with flipped
-    // levels, negating the vector (same convention as the stitcher).
-    const double dist = std::min(std::abs(edge_vector - e.edge_vector),
-                                 std::abs(edge_vector + e.edge_vector)) /
-                        scale;
+    const double dist = core::edge_vector_distance(edge_vector, e.edge_vector);
     if (dist < best_dist) {
       best_dist = dist;
       best = &e;

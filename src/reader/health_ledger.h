@@ -36,7 +36,8 @@ struct HealthLedgerConfig {
   std::size_t probation_epochs = 2;
   /// Confidence score below which even a CRC-clean epoch counts as failed.
   double min_confidence = 0.15;
-  /// Edge-vector matching tolerance, relative to the stored vector.
+  /// Edge-vector matching tolerance, in core::edge_vector_distance from
+  /// the stored vector (the metric control::FleetTracker uses).
   double vector_tolerance = 0.35;
   /// Entries unseen for this many epochs are forgotten (tag left range).
   std::size_t forget_after = 8;

@@ -13,6 +13,13 @@
 // separation and falls to the 9-cluster refit; seeds 38, 56 and 115 split
 // an over-merged group at its residual gap.
 //
+// Three more epochs pin the paths those seeds do not reach: a long epoch
+// (4.8 ms, four frames per tag, the ablation bench's second operating
+// point) where transient-interference cancellation repairs a stream; seed
+// 56 decoded with error_correction off, whose two-way separations take the
+// K-way hard-decision path (each component's integrated states); and seed
+// 30 decoded with collision_recovery off (the Fig 9 "Edge" mode).
+//
 // One few-tag capture pins the fallback ladder: a single tag at 7 dB SNR
 // that no primary pass decodes, which only the serial windowed decoder's
 // whole-capture rescue recovers.
@@ -66,19 +73,36 @@ std::uint64_t digest_of(const core::DecodeResult& result) {
   return fnv.value();
 }
 
+/// How a golden epoch departs from perfbench's epoch16 draw.
+struct Variant {
+  Seconds epoch = 1.5e-3;
+  std::size_t frames_per_tag = 1;
+  bool error_correction = true;
+  bool collision_recovery = true;
+  bool interference_cancellation = true;
+};
+
 /// One 16-tag epoch drawn from `seed`, exactly as perfbench's epoch16
-/// workload draws its epochs.
-core::DecodeResult decode_epoch(std::uint64_t seed) {
+/// workload draws its epochs when `variant` is the default.
+core::DecodeResult decode_epoch(std::uint64_t seed,
+                                const Variant& variant = {}) {
   Rng rng(seed);
   sim::ScenarioConfig sc;
   sc.num_tags = 16;
+  sc.epoch_duration = variant.epoch;
   sim::Scenario scenario(sc, rng);
   std::vector<std::vector<std::vector<bool>>> payloads(scenario.num_tags());
   for (auto& per_tag : payloads) {
-    per_tag.push_back(rng.bits(sc.frame.payload_bits));
+    for (std::size_t f = 0; f < variant.frames_per_tag; ++f) {
+      per_tag.push_back(rng.bits(sc.frame.payload_bits));
+    }
   }
   const signal::SampleBuffer samples = scenario.capture_epoch(payloads, rng);
-  return core::LfDecoder(scenario.default_decoder()).decode(samples);
+  core::DecoderConfig cfg = scenario.default_decoder();
+  cfg.error_correction = variant.error_correction;
+  cfg.collision_recovery = variant.collision_recovery;
+  cfg.interference_cancellation = variant.interference_cancellation;
+  return core::LfDecoder(cfg).decode(samples);
 }
 
 struct Golden {
@@ -87,9 +111,27 @@ struct Golden {
   core::DecodeDiagnostics diagnostics;
 };
 
+void expect_golden(const core::DecodeResult& r, const Golden& g) {
+  const core::DecodeDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(digest_of(r), g.digest) << "seed " << g.seed;
+  EXPECT_EQ(d.edges, g.diagnostics.edges) << "seed " << g.seed;
+  EXPECT_EQ(d.groups, g.diagnostics.groups) << "seed " << g.seed;
+  EXPECT_EQ(d.collision_groups, g.diagnostics.collision_groups)
+      << "seed " << g.seed;
+  EXPECT_EQ(d.unresolved_groups, g.diagnostics.unresolved_groups)
+      << "seed " << g.seed;
+  EXPECT_EQ(d.erasures, g.diagnostics.erasures) << "seed " << g.seed;
+  EXPECT_EQ(d.fallback_passes, g.diagnostics.fallback_passes)
+      << "seed " << g.seed;
+  EXPECT_EQ(d.fallback_recoveries, g.diagnostics.fallback_recoveries)
+      << "seed " << g.seed;
+}
+
+// Diagnostics below read
+// {edges, groups, collision_groups, unresolved_groups, erasures,
+//  fallback_passes, fallback_recoveries}.
+
 TEST(GoldenDecode, SixteenTagEpochsMatchTheirDigests) {
-  // {edges, groups, collision_groups, unresolved_groups, erasures,
-  //  fallback_passes, fallback_recoveries}
   const Golden kGolden[] = {
       {30, 0xc55c28f69c33a001ull, {793, 12, 3, 1, 0, 0, 0}},
       {38, 0xa0aa55485a48c3deull, {792, 13, 3, 4, 0, 0, 0}},
@@ -97,22 +139,29 @@ TEST(GoldenDecode, SixteenTagEpochsMatchTheirDigests) {
       {103, 0xf5498ad07ac8ffe5ull, {815, 11, 4, 3, 0, 0, 0}},
       {115, 0x3ee0b9242b2bd801ull, {904, 14, 1, 2, 0, 0, 0}},
   };
-  for (const Golden& g : kGolden) {
-    const core::DecodeResult r = decode_epoch(g.seed);
-    const core::DecodeDiagnostics& d = r.diagnostics;
-    EXPECT_EQ(digest_of(r), g.digest) << "seed " << g.seed;
-    EXPECT_EQ(d.edges, g.diagnostics.edges) << "seed " << g.seed;
-    EXPECT_EQ(d.groups, g.diagnostics.groups) << "seed " << g.seed;
-    EXPECT_EQ(d.collision_groups, g.diagnostics.collision_groups)
-        << "seed " << g.seed;
-    EXPECT_EQ(d.unresolved_groups, g.diagnostics.unresolved_groups)
-        << "seed " << g.seed;
-    EXPECT_EQ(d.erasures, g.diagnostics.erasures) << "seed " << g.seed;
-    EXPECT_EQ(d.fallback_passes, g.diagnostics.fallback_passes)
-        << "seed " << g.seed;
-    EXPECT_EQ(d.fallback_recoveries, g.diagnostics.fallback_recoveries)
-        << "seed " << g.seed;
-  }
+  for (const Golden& g : kGolden) expect_golden(decode_epoch(g.seed), g);
+}
+
+TEST(GoldenDecode, LongEpochInterferenceCancellationRepairsAStream) {
+  const Variant kLong{.epoch = 4.8e-3, .frames_per_tag = 4};
+  const core::DecodeResult r = decode_epoch(9, kLong);
+  expect_golden(r, {9, 0xb2da67a91cae00c9ull, {2900, 10, 4, 6, 0, 0, 0}});
+  // The repair is what the digest pins: without the cancellation stage the
+  // same epoch recovers fewer frames.
+  Variant without = kLong;
+  without.interference_cancellation = false;
+  EXPECT_GT(r.valid_payloads().size(),
+            decode_epoch(9, without).valid_payloads().size());
+}
+
+TEST(GoldenDecode, HardDecisionKWayComponentsMatchTheirDigest) {
+  expect_golden(decode_epoch(56, {.error_correction = false}),
+                {56, 0x0374e936ab2748f1ull, {803, 12, 5, 1, 0, 0, 0}});
+}
+
+TEST(GoldenDecode, EdgeOnlyDecodeMatchesItsDigest) {
+  expect_golden(decode_epoch(30, {.collision_recovery = false}),
+                {30, 0x27b0c76a463be065ull, {793, 12, 0, 0, 0, 0, 0}});
 }
 
 /// One tag at 5 Msps streaming `frames` frames at `snr_db`, the

@@ -309,8 +309,11 @@ TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
   rc.name = "patient";
   rc.max_admission_retries = 50;  // plenty; one freed slot ends the loop
   FrameClient patient(rc);
+  std::atomic<bool> patient_live{false};
   std::thread patient_thread([&] {
-    const Bye bye = patient.run({});
+    FrameClient::Callbacks callbacks;
+    callbacks.on_stats = [&](const WireStats&) { patient_live.store(true); };
+    const Bye bye = patient.run(callbacks);
     EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
   });
 
@@ -325,10 +328,16 @@ TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
   holder.stop();
   holder_thread.join();
 
-  const auto sub_deadline = Clock::now() + std::chrono::seconds(5);
-  while (server.counters().subscribers < 1 && Clock::now() < sub_deadline) {
+  // The holder still counts as a subscriber until the server reads its
+  // hang-up, so the count alone cannot say the patient is in; shutting
+  // down before its redial would refuse the dial. A stats heartbeat that
+  // only a subscribed patient receives can.
+  const auto live_deadline = Clock::now() + std::chrono::seconds(10);
+  while (!patient_live.load() && Clock::now() < live_deadline) {
+    server.publish_stats(runtime::RuntimeStats{});
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  EXPECT_TRUE(patient_live.load());
   EXPECT_EQ(server.counters().subscribers, 1u);
   server.shutdown(/*drain=*/true);
   patient_thread.join();
